@@ -122,7 +122,11 @@ def apply_u(g: EquivalenceElement, p: Point, u: float) -> float:
 
 
 def compose(g1: EquivalenceElement, g2: EquivalenceElement) -> EquivalenceElement:
-    """Element acting as g1 after g2 (matrix product on the Moebius part)."""
+    """Element acting as g1 after g2 (matrix product on the Moebius part).
+
+    Raises :class:`ValueError` when the product's determinant rounds to
+    zero, as the constructor does for any singular quadruple.
+    """
     a = g1.alpha * g2.alpha + g1.beta * g2.gamma
     b = g1.alpha * g2.beta + g1.beta * g2.delta
     g = g1.gamma * g2.alpha + g1.delta * g2.gamma
@@ -130,7 +134,6 @@ def compose(g1: EquivalenceElement, g2: EquivalenceElement) -> EquivalenceElemen
     k = g1.kappa * g2.kappa
     m1 = g1.kappa * g2.mu1 + g1.mu1 * g2.alpha + g1.mu0 * g2.gamma
     m0 = g1.kappa * g2.mu0 + g1.mu1 * g2.beta + g1.mu0 * g2.delta
-    assert a * d - b * g != 0.0
     return _from_raw(a, b, g, d, m0, m1, k)
 
 

@@ -75,12 +75,6 @@ class Region:
 # i.e. d^{i+j} f / dt^i dx^j / (i! j!), for the multi-index _IDX[n].
 _IDX = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
 _POS = {ij: n for n, ij in enumerate(_IDX)}
-_PRODUCT_TERMS = tuple(
-    (_POS[(i1 + i2, j1 + j2)], n1, n2)
-    for n1, (i1, j1) in enumerate(_IDX)
-    for n2, (i2, j2) in enumerate(_IDX)
-    if i1 + i2 + j1 + j2 <= 3
-)
 
 
 class Jet3:
@@ -89,6 +83,16 @@ class Jet3:
     Closed under arithmetic and composition with smooth univariate
     functions; singular operations (division by zero constant part, log at
     zero, ...) raise :class:`EvaluationError`.
+
+    The truncated product and the composition are written out term by term.
+    Each coefficient is the sum a loop over the table of product terms
+    forms: the same terms, added in the same order, starting from ``0.0``
+    (which turns a leading ``-0.0`` into ``+0.0``, as the loop does).  The
+    composition leaves out only terms that are +-0.0 because
+    ``self - self.v`` has no constant part, and those cannot change such a
+    sum.  So on finite entries the results are bit-identical to the loop,
+    which the tests keep as their reference; where an entry is not finite,
+    the same entries come out non-finite.
     """
 
     __slots__ = ("c",)
@@ -205,11 +209,20 @@ class Jet3:
 
     def __mul__(self, other):
         if isinstance(other, Jet3):
-            a, b = self.c, other.c
-            out = [0.0] * 10
-            for k, n1, n2 in _PRODUCT_TERMS:
-                out[k] += a[n1] * b[n2]
-            return Jet3(out)
+            a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.c
+            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = other.c
+            return Jet3([
+                0.0 + a0 * b0,
+                0.0 + a0 * b1 + a1 * b0,
+                0.0 + a0 * b2 + a2 * b0,
+                0.0 + a0 * b3 + a1 * b1 + a3 * b0,
+                0.0 + a0 * b4 + a1 * b2 + a2 * b1 + a4 * b0,
+                0.0 + a0 * b5 + a2 * b2 + a5 * b0,
+                0.0 + a0 * b6 + a1 * b3 + a3 * b1 + a6 * b0,
+                0.0 + a0 * b7 + a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1 + a7 * b0,
+                0.0 + a0 * b8 + a1 * b5 + a2 * b4 + a4 * b2 + a5 * b1 + a8 * b0,
+                0.0 + a0 * b9 + a2 * b5 + a5 * b2 + a9 * b0,
+            ])
         if isinstance(other, (int, float)):
             return Jet3([ci * other for ci in self.c])
         return NotImplemented
@@ -250,33 +263,57 @@ class Jet3:
     # -- composition -------------------------------------------------------
 
     def compose(self, g0: float, g1: float, g2: float, g3: float) -> "Jet3":
-        """Jet of g(self) given derivatives g0..g3 of g at self.v."""
-        w = list(self.c)
-        w[0] = 0.0
-        W = Jet3(w)
-        W2 = W * W
-        W3 = W2 * W
+        """Jet of g(self) given derivatives g0..g3 of g at self.v.
+
+        With W = self - self.v, the result is g0 + g1*W + g2/2*W^2 + g3/6*W^3.
+        W^2 starts at order 2 (entries s3..s9) and W^3 at order 3.  Their
+        lower entries are +0.0; their products with g2/2 and g3/6 (z2, z3)
+        are still added, so that signed zeros and non-finite g carry over.
+        """
+        _, w1, w2, w3, w4, w5, w6, w7, w8, w9 = self.c
+        s3 = 0.0 + w1 * w1
+        s4 = 0.0 + w1 * w2 + w2 * w1
+        s5 = 0.0 + w2 * w2
+        s6 = 0.0 + w1 * w3 + w3 * w1
+        s7 = 0.0 + w1 * w4 + w2 * w3 + w3 * w2 + w4 * w1
+        s8 = 0.0 + w1 * w5 + w2 * w4 + w4 * w2 + w5 * w1
+        s9 = 0.0 + w2 * w5 + w5 * w2
         h2 = g2 / 2.0
         h3 = g3 / 6.0
-        out = [g1 * W.c[n] + h2 * W2.c[n] + h3 * W3.c[n] for n in range(10)]
-        out[0] = g0
-        return Jet3(out)
+        z2 = h2 * 0.0
+        z3 = h3 * 0.0
+        return Jet3([
+            g0,
+            g1 * w1 + z2 + z3,
+            g1 * w2 + z2 + z3,
+            g1 * w3 + h2 * s3 + z3,
+            g1 * w4 + h2 * s4 + z3,
+            g1 * w5 + h2 * s5 + z3,
+            g1 * w6 + h2 * s6 + h3 * (0.0 + s3 * w1),
+            g1 * w7 + h2 * s7 + h3 * (0.0 + s3 * w2 + s4 * w1),
+            g1 * w8 + h2 * s8 + h3 * (0.0 + s4 * w2 + s5 * w1),
+            g1 * w9 + h2 * s9 + h3 * (0.0 + s5 * w2),
+        ])
 
     def deriv_t(self) -> "Jet3":
         """Jet of the t-derivative field.
 
-        Exact through total order 2; the order-3 entries of the result are
-        zero-filled, not true fourth derivatives of the parent.
+        Exact through total order 2.  The order-3 entries would need fourth
+        derivatives of the parent, which a jet does not carry, so they are
+        NaN.  An entry of order <= 2 of a sum, product, quotient or
+        composition reads only entries of order <= 2, so the NaN stays in
+        the order-3 entries of everything computed from the result.
         """
-        out = [0.0] * 10
+        out = [math.nan] * 10
         for n, (i, j) in enumerate(_IDX):
             if i + j <= 2:
                 out[n] = (i + 1) * self.c[_POS[(i + 1, j)]]
         return Jet3(out)
 
     def deriv_x(self) -> "Jet3":
-        """Jet of the x-derivative field (see :meth:`deriv_t`)."""
-        out = [0.0] * 10
+        """Jet of the x-derivative field; order-3 entries are NaN (see
+        :meth:`deriv_t`)."""
+        out = [math.nan] * 10
         for n, (i, j) in enumerate(_IDX):
             if i + j <= 2:
                 out[n] = (j + 1) * self.c[_POS[(i, j + 1)]]
@@ -425,10 +462,9 @@ class ScalarField:
             raise ValueError(f"non-finite evaluation point {p!r}")
         r = self._call(Jet3.variable_t(t), Jet3.variable_x(x))
         j = r if isinstance(r, Jet3) else Jet3.constant(float(r))
-        for ci in j.c:
-            if not math.isfinite(ci):
-                raise EvaluationError(
-                    f"non-finite derivative of field {self.name or '<anonymous>'} at {p!r}")
+        if not all(map(math.isfinite, j.c)):
+            raise EvaluationError(
+                f"non-finite derivative of field {self.name or '<anonymous>'} at {p!r}")
         return j
 
     def value(self, t: float, x: float) -> float:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gburgers
 from gburgers.ansatz import (RiccatiBranch, SolutionField, build_solution,
                              rational_solution, xi_solution)
 from gburgers.catalog import get_case
@@ -165,6 +169,36 @@ class TestGroupAxioms:
         gs = EquivalenceElement.galilean(1.5)
         for p in (Point(0.4, 1.0), Point(-1.2, 0.3)):
             points_close(apply_point(gc, p), apply_point(gs, p), 1e-15)
+
+
+# (alpha, beta, gamma, delta) with nearly proportional rows.  The element
+# and its adjugate (delta, -beta, -gamma, alpha) are each nonsingular, but the
+# determinant of their product cancels to exactly 0.0 in floating point.
+NEAR_SINGULAR_QUAD = (179237169.92185026, 170117769.6533156,
+                      49784384.87945398, 47251407.29987896)
+
+
+class TestComposeSingularProduct:
+    def test_raises_value_error(self):
+        a, b, g, d = NEAR_SINGULAR_QUAD
+        with pytest.raises(ValueError):
+            compose(EquivalenceElement(a, b, g, d), EquivalenceElement(d, -b, -g, a))
+
+    def test_raises_value_error_under_optimize(self):
+        # python -O strips assert statements, so the check must not be one
+        code = ("from gburgers.equivalence import EquivalenceElement, compose\n"
+                f"a, b, g, d = {NEAR_SINGULAR_QUAD!r}\n"
+                "try:\n"
+                "    compose(EquivalenceElement(a, b, g, d), EquivalenceElement(d, -b, -g, a))\n"
+                "except ValueError:\n"
+                "    print('ValueError')\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gburgers.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                           capture_output=True, text=True, timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "ValueError"
 
 
 class TestTransformF:

@@ -229,3 +229,109 @@ def test_region_helpers():
         Region.parse("0,1,2")
     with pytest.raises(ValueError):
         Region(1.0, 0.0, 0.0, 1.0)
+
+
+# -- reference kernel: the truncated product as a loop over its term table --
+
+_IDX = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
+_PRODUCT_TERMS = tuple(
+    (_IDX.index((i1 + i2, j1 + j2)), n1, n2)
+    for n1, (i1, j1) in enumerate(_IDX)
+    for n2, (i2, j2) in enumerate(_IDX)
+    if i1 + i2 + j1 + j2 <= 3
+)
+
+
+def reference_mul(self, other):
+    if not isinstance(other, Jet3):
+        return Jet3([ci * other for ci in self.c])
+    a, b = self.c, other.c
+    out = [0.0] * 10
+    for k, n1, n2 in _PRODUCT_TERMS:
+        out[k] += a[n1] * b[n2]
+    return Jet3(out)
+
+
+def reference_compose(self, g0, g1, g2, g3):
+    w = list(self.c)
+    w[0] = 0.0
+    W = Jet3(w)
+    W2 = reference_mul(W, W)
+    W3 = reference_mul(W2, W)
+    h2 = g2 / 2.0
+    h3 = g3 / 6.0
+    out = [g1 * W.c[n] + h2 * W2.c[n] + h3 * W3.c[n] for n in range(10)]
+    out[0] = g0
+    return Jet3(out)
+
+
+def bits(j: Jet3) -> list[str]:
+    """Entries as hex strings: tells -0.0 from 0.0, and NaN equals NaN."""
+    return [float(ci).hex() for ci in j.c]
+
+
+def random_coefficient(rng) -> float:
+    r = rng.random()
+    if r < 0.15:
+        return 0.0
+    if r < 0.25:
+        return -0.0
+    return float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 8.0))
+
+
+def random_jet(rng, value=None, nan_order3=False) -> Jet3:
+    c = [random_coefficient(rng) for _ in range(10)]
+    if value is not None:
+        c[0] = value
+    if nan_order3:
+        c[6:] = [math.nan] * 4
+    return Jet3(c)
+
+
+ELEMENTARY = (  # function, range of the value it is taken at
+    (exp, (-3.0, 3.0)), (log_abs, (-3.0, 3.0)), (sqrt, (1e-3, 3.0)),
+    (sin, (-3.0, 3.0)), (cos, (-3.0, 3.0)), (tan, (-1.5, 1.5)),
+    (sinh, (-3.0, 3.0)), (cosh, (-3.0, 3.0)), (tanh, (-3.0, 3.0)),
+    (coth, (-3.0, 3.0)), (arctan, (-3.0, 3.0)),
+)
+
+
+def test_kernel_bit_identical_to_reference_loop(monkeypatch):
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n in range(400):
+        nan3 = n % 4 == 3  # the order-3 NaN that deriv_t/deriv_x leave
+        a, b = random_jet(rng, nan_order3=nan3), random_jet(rng)
+        if b.c[0] == 0.0:
+            b.c[0] = 0.5
+        g = [random_coefficient(rng) for _ in range(4)]
+        cases.append((lambda a=a, b=b: a * b, f"mul {n}"))
+        cases.append((lambda a=a, b=b: b * a, f"rmul {n}"))
+        cases.append((lambda a=a, b=b: a / b, f"div {n}"))
+        cases.append((lambda b=b: 3.5 / b, f"rdiv {n}"))
+        cases.append((lambda a=a, g=g: a.compose(*g), f"compose {n}"))
+        cases.append((lambda b=b, k=int(rng.integers(-3, 4)): b ** k, f"pow {n}"))
+        for fn, (lo, hi) in ELEMENTARY:
+            j = random_jet(rng, value=float(rng.uniform(lo, hi)), nan_order3=nan3)
+            cases.append((lambda fn=fn, j=j: fn(j), f"{fn.__name__} {n}"))
+    got = [bits(op()) for op, _ in cases]
+    monkeypatch.setattr(Jet3, "__mul__", reference_mul)
+    monkeypatch.setattr(Jet3, "__rmul__", reference_mul)
+    monkeypatch.setattr(Jet3, "compose", reference_compose)
+    for (op, label), g in zip(cases, got):
+        assert g == bits(op()), label
+
+
+def test_derivative_jets_mark_order_three_as_nan():
+    j = ScalarField(lambda T, X: exp(X) * T).jet(Point(1.0, 0.0))
+    # d/dx (e^x t) = e^x t, so d_xxx would be 1: it must not read as 0
+    dx = j.deriv_x()
+    assert dx.entries()[:6] == (1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+    assert all(math.isnan(e) for e in dx.entries()[6:])
+    dt = j.deriv_t()
+    assert dt.entries()[:6] == (1.0, 0.0, 1.0, 0.0, 0.0, 1.0)
+    assert all(math.isnan(e) for e in dt.entries()[6:])
+    # order-<=2 entries of anything computed from it stay finite
+    k = exp(dt * j) / (dt + 2.0) - dt ** 2
+    assert all(math.isfinite(e) for e in k.entries()[:6])
+    assert all(math.isnan(e) for e in k.entries()[6:])

@@ -14,7 +14,7 @@ from .catalog import (CatalogEntry, case5_theta_reduction_check, catalog_json,
 from .equivalence import (EquivalenceElement, apply_point, apply_u, compose,
                           identity, inverse, transform_f, transform_solution)
 from .jets import (Antiderivative, EvaluationError, Jet3, Point, Region,
-                   ScalarField, SingularPointError, constant_field, eval_jet, fd_jet)
+                   ScalarField, SingularPointError, constant_field, fd_jet)
 from .numsolve import (BlowUpError, ConvergenceReport, IbvpSpec, NumericSolution,
                        WellPosednessError, compare, convergence_study, solve_ibvp)
 from .verify import (DeterminingResiduals, EmptySweepError, LinearReductionOperator,
@@ -35,7 +35,7 @@ __all__ = [
     "SweepReport", "WellPosednessError", "apply_point", "apply_u",
     "build_solution", "case5_theta_reduction_check", "catalog_json", "compare",
     "compose", "constant_field", "convergence_study", "determining_residuals",
-    "eval_case", "eval_jet", "fd_jet", "gbe_residual", "gbe_residual_scaled",
+    "eval_case", "fd_jet", "gbe_residual", "gbe_residual_scaled",
     "get_case", "gfde_residual", "gfde_residual_scaled", "identity", "inverse",
     "iter_cases", "linear_operator_fields", "matched_branch", "phi", "phi_prime",
     "pfde_residual", "pfde_residual_scaled", "potential_residual",

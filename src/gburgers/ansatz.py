@@ -53,14 +53,21 @@ def _scalar(w) -> float:
     return w.c[0] if isinstance(w, Jet3) else float(w)
 
 
-def _check_pole(den, c1: float, c2: float) -> None:
+def _check_pole(den, c1: float, c2: float):
+    """den, checked to stay off the poles: a float, a jet or a plain array
+    raises SingularPointError; an array jet gets NaN at the pole elements."""
     margin = EPS_DEN * (abs(c1) + abs(c2))
     if isinstance(den, np.ndarray):
         if float(np.min(np.abs(den))) <= margin:
             raise SingularPointError("pole of the solution branch")
-        return
-    if abs(_scalar(den)) <= margin:
+        return den
+    v = _scalar(den)
+    if isinstance(v, np.ndarray):
+        pole = np.abs(v) <= margin
+        return den.masked(pole) if pole.any() else den
+    if abs(v) <= margin:
         raise SingularPointError("pole of the solution branch")
+    return den
 
 
 def _phi_negative_nu_array(k: float, c1: float, c2: float, omega: np.ndarray,
@@ -82,8 +89,38 @@ def _phi_negative_nu_array(k: float, c1: float, c2: float, omega: np.ndarray,
     return out
 
 
+def _negative_nu(b: RiccatiBranch, omega, derivative: bool):
+    """The nu < 0 branch (or its derivative) at a float or a jet, rescaled
+    by the dominant exponential so that large |k*omega| cannot overflow.
+    An array jet is split by the sign of its value, and each part is
+    evaluated on its own elements only."""
+    nu, c1, c2 = b.nu, b.c1, b.c2
+    k = math.sqrt(-nu)
+
+    def part(w, nonnegative: bool):
+        if nonnegative:
+            r = exp(-2.0 * k * w)
+            num, den = c1 - c2 * r, c1 + c2 * r
+        else:
+            r = exp(2.0 * k * w)
+            num, den = c1 * r - c2, c1 * r + c2
+        den = _check_pole(den, c1, c2)
+        if derivative:
+            # -8 k^2 c1 c2 / (c1 e^{kw} + c2 e^{-kw})^2 in the rescaled variables
+            return 8.0 * nu * c1 * c2 * r / (den * den)
+        return -2.0 * k * num / den
+
+    v = _scalar(omega)
+    if not isinstance(v, np.ndarray):
+        return part(omega, v >= 0.0)
+    nonneg = v >= 0.0
+    if nonneg.all() or not nonneg.any():
+        return part(omega, bool(nonneg.all()))
+    return Jet3.merge(nonneg, part(omega.take(nonneg), True), part(omega.take(~nonneg), False))
+
+
 def phi(b: RiccatiBranch, omega) -> float:
-    """Branch value at omega; accepts floats or jets.
+    """Branch value at omega; accepts floats, plain arrays and jets.
 
     nu < 0:  -2k*(c1*e^{k w} - c2*e^{-k w})/(c1*e^{k w} + c2*e^{-k w}),  k = sqrt(-nu)
     nu = 0:  -2*c2/(c1 + c2*w)
@@ -91,27 +128,14 @@ def phi(b: RiccatiBranch, omega) -> float:
     """
     nu, c1, c2 = b.nu, b.c1, b.c2
     if nu < 0.0:
-        k = math.sqrt(-nu)
         if isinstance(omega, np.ndarray):
-            return _phi_negative_nu_array(k, c1, c2, omega, derivative=False)
-        # rescale by the dominant exponential so large |k*omega| cannot overflow
-        if _scalar(omega) >= 0.0:
-            r = exp(-2.0 * k * omega)
-            num = c1 - c2 * r
-            den = c1 + c2 * r
-        else:
-            r = exp(2.0 * k * omega)
-            num = c1 * r - c2
-            den = c1 * r + c2
-        _check_pole(den, c1, c2)
-        return -2.0 * k * num / den
+            return _phi_negative_nu_array(math.sqrt(-nu), c1, c2, omega, derivative=False)
+        return _negative_nu(b, omega, derivative=False)
     if nu == 0.0:
-        den = c1 + c2 * omega
-        _check_pole(den, c1, c2)
+        den = _check_pole(c1 + c2 * omega, c1, c2)
         return -2.0 * c2 / den
     k = math.sqrt(nu)
-    den = c1 * cos(k * omega) + c2 * sin(k * omega)
-    _check_pole(den, c1, c2)
+    den = _check_pole(c1 * cos(k * omega) + c2 * sin(k * omega), c1, c2)
     return 2.0 * k * (c1 * sin(k * omega) - c2 * cos(k * omega)) / den
 
 
@@ -120,25 +144,14 @@ def phi_prime(b: RiccatiBranch, omega) -> float:
     right-hand side (so that the residual check below means something)."""
     nu, c1, c2 = b.nu, b.c1, b.c2
     if nu < 0.0:
-        k = math.sqrt(-nu)
         if isinstance(omega, np.ndarray):
-            return _phi_negative_nu_array(k, c1, c2, omega, derivative=True)
-        if _scalar(omega) >= 0.0:
-            r = exp(-2.0 * k * omega)
-            den = c1 + c2 * r
-        else:
-            r = exp(2.0 * k * omega)
-            den = c1 * r + c2
-        _check_pole(den, c1, c2)
-        # -8 k^2 c1 c2 / (c1 e^{kw} + c2 e^{-kw})^2 in the rescaled variables
-        return 8.0 * nu * c1 * c2 * r / (den * den)
+            return _phi_negative_nu_array(math.sqrt(-nu), c1, c2, omega, derivative=True)
+        return _negative_nu(b, omega, derivative=True)
     if nu == 0.0:
-        den = c1 + c2 * omega
-        _check_pole(den, c1, c2)
+        den = _check_pole(c1 + c2 * omega, c1, c2)
         return 2.0 * c2 * c2 / (den * den)
     k = math.sqrt(nu)
-    den = c1 * cos(k * omega) + c2 * sin(k * omega)
-    _check_pole(den, c1, c2)
+    den = _check_pole(c1 * cos(k * omega) + c2 * sin(k * omega), c1, c2)
     return 2.0 * nu * (c1 * c1 + c2 * c2) / (den * den)
 
 

@@ -12,7 +12,11 @@ which every entry satisfies to roundoff on its valid domain.
 
 Domains of validity are not intrinsic to the closed forms; the predicates
 here exclude zero sets of denominators (and of theta_x) with a fixed margin
-and are a deliberate engineering choice, documented per entry.
+and are a deliberate engineering choice, documented per entry.  The margin
+``EPS_DEN = 1e-8`` is absolute, not scale-aware: it is compared with the
+raw value of each denominator, whatever the size of the terms it is made
+of or of the region, so it excludes a relatively wider band around a
+denominator of small magnitude than around a large one.
 """
 
 from __future__ import annotations
@@ -21,13 +25,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from scipy.optimize import brentq
-
 from .jets import (Antiderivative, Point, Region, ScalarField,
                    SingularPointError, arctan, cos, cosh, coth, exp, log_abs,
                    sin, sinh, tan, tanh)
 
-#: margin used by all validity predicates to keep denominators away from zero
+#: absolute (not scale-aware) margin used by all validity predicates to keep
+#: denominators away from zero
 EPS_DEN = 1e-8
 
 #: reference abscissa anchoring the quadrature constant of case 5
@@ -95,14 +98,16 @@ def _case5_denominator_roots(lam: float) -> tuple[float, ...]:
         hi = m + 1.0
         while d(hi) <= 0.0:
             hi += 1.0
-        return (brentq(d, lo, m), brentq(d, m, hi))
-
-    lo, hi = -1.0, 1.0
-    while d(lo) >= 0.0:
-        lo *= 2.0
-    while d(hi) <= 0.0:
-        hi *= 2.0
-    return (brentq(d, lo, hi),)
+        brackets = ((lo, m), (m, hi))
+    else:
+        lo, hi = -1.0, 1.0
+        while d(lo) >= 0.0:
+            lo *= 2.0
+        while d(hi) <= 0.0:
+            hi *= 2.0
+        brackets = ((lo, hi),)
+    from scipy.optimize import brentq  # imported on first use: it is slow to import
+    return tuple(brentq(d, a, b) for a, b in brackets)
 
 
 def _build_case5(lam: float) -> CatalogEntry:

@@ -208,10 +208,9 @@ def _case_residual_fn(entry: catalog.CatalogEntry, which: str):
 @click.option("--tol", type=float, default=1e-9, show_default=True,
               help="Scaled-residual tolerance.")
 @click.option("--lambda", "lam", type=float, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @domain_errors_to_exit
-def cmd_verify(case_id, all_cases, which, region, res, tol, lam, jobs, out):
+def cmd_verify(case_id, all_cases, which, region, res, tol, lam, out):
     """Sweep a residual over a grid and report the scaled maximum."""
     if all_cases == (case_id is not None):
         raise click.UsageError("choose exactly one of --case or --all")
@@ -221,8 +220,7 @@ def cmd_verify(case_id, all_cases, which, region, res, tol, lam, jobs, out):
     ok = True
     for entry in entries:
         reg = _parse_region(region) if region else entry.sample_region
-        rep = sweep(_case_residual_fn(entry, which), reg, n_t, n_x,
-                    valid=entry.valid, jobs=jobs)
+        rep = sweep(_case_residual_fn(entry, which), reg, n_t, n_x, valid=entry.valid)
         passed = rep.max_abs_residual <= tol
         ok = ok and passed
         reports.append({"case": entry.id, "which": which, "pass": passed,

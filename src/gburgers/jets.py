@@ -10,16 +10,31 @@ Field expressions are written against the elementary functions of this
 module (``exp``, ``log_abs``, ``sin``, ...), which accept plain floats,
 numpy arrays, and jets, so the same closed form serves pointwise
 evaluation, vectorized sampling, and exact differentiation.
+
+Array jets.  The coefficients of a jet are floats or equal-length 1-D float
+arrays, one element per point, so one jet can carry a whole grid (Taylor-mode
+forward differentiation with the grid as the batch dimension).  Entries
+that do not depend on the point, such as the 1.0 of ``variable_t``, may stay
+floats.  Arithmetic acts elementwise.  The elementary functions take their
+values at each element through :mod:`math`, and integer powers through
+Python's ``**``, because numpy's versions can differ from those in the last
+bit; so every element of an array jet is bit-identical to the jet of that
+point computed alone.  Where a jet of a single point raises
+:class:`EvaluationError` (zero divisor, log of zero, coth at zero, overflow
+or domain error in :mod:`math`), the element becomes NaN and the others are
+unaffected.  ``ScalarField.jet`` takes a :class:`Point` of arrays and
+returns such a jet, NaN in all ten entries at every element whose jet is
+not finite.  Plain arrays (``ScalarField.sample``) keep numpy's ufuncs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class EvaluationError(Exception):
@@ -35,6 +50,8 @@ class SingularPointError(EvaluationError):
 
 
 class Point(NamedTuple):
+    """A point (t, x); t and x may also be equal-length 1-D arrays of points."""
+
     t: float
     x: float
 
@@ -76,13 +93,55 @@ class Region:
 _IDX = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
 _POS = {ij: n for n, ij in enumerate(_IDX)}
 
+_ELEMENT_ERRORS = (ArithmeticError, ValueError, EvaluationError)
+
+
+def _coeff(v):
+    """A jet coefficient: a float, or a 1-D float array with one element per point."""
+    return np.asarray(v, dtype=float) if isinstance(v, np.ndarray) else float(v)
+
+
+def _nan_on_error(fn, v: float, *args) -> float:
+    try:
+        return fn(v, *args)
+    except _ELEMENT_ERRORS:
+        return math.nan
+
+
+def _pointwise(fn, u, *args):
+    """fn(u, *args) for a float.  For an array, fn at each element as a
+    Python float, NaN at the elements where it raises."""
+    if not isinstance(u, np.ndarray):
+        return fn(u, *args)
+    vals = u.tolist()
+    try:
+        return np.fromiter(map(fn, vals, *map(repeat, args)), float, len(vals))
+    except _ELEMENT_ERRORS:
+        return np.array([_nan_on_error(fn, v, *args) for v in vals], dtype=float)
+
+
+def _ipow(u, n: int):
+    """u ** n, elementwise through Python floats for an array."""
+    return _pointwise(pow, u, n)
+
+
+def _fail_where(bad, u, message: str):
+    """u, unless ``bad``: a float then raises EvaluationError, an array
+    gets NaN at the elements where ``bad`` holds."""
+    if isinstance(u, np.ndarray):
+        return np.where(bad, math.nan, u)
+    if bad:
+        raise EvaluationError(message)
+    return u
+
 
 class Jet3:
     """Truncated bivariate Taylor polynomial of total order 3.
 
     Closed under arithmetic and composition with smooth univariate
     functions; singular operations (division by zero constant part, log at
-    zero, ...) raise :class:`EvaluationError`.
+    zero, ...) raise :class:`EvaluationError`, or give NaN at the failing
+    elements of an array jet (see the module docstring).
 
     The truncated product and the composition are written out term by term.
     Each coefficient is the sum a loop over the table of product terms
@@ -97,6 +156,9 @@ class Jet3:
 
     __slots__ = ("c",)
 
+    # numpy scalars and arrays defer to Jet3's reflected operators
+    __array_ufunc__ = None
+
     def __init__(self, coeffs: list[float]):
         self.c = coeffs
 
@@ -104,15 +166,15 @@ class Jet3:
 
     @staticmethod
     def constant(v: float) -> "Jet3":
-        return Jet3([float(v), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        return Jet3([_coeff(v), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
     @staticmethod
     def variable_t(t0: float) -> "Jet3":
-        return Jet3([float(t0), 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        return Jet3([_coeff(t0), 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
     @staticmethod
     def variable_x(x0: float) -> "Jet3":
-        return Jet3([float(x0), 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        return Jet3([_coeff(x0), 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
     @staticmethod
     def from_derivatives(v, d_t, d_x, d_tt, d_tx, d_xx, d_ttt, d_ttx, d_txx, d_xxx) -> "Jet3":
@@ -170,7 +232,11 @@ class Jet3:
     def __repr__(self) -> str:
         names = ("v", "d_t", "d_x", "d_tt", "d_tx", "d_xx",
                  "d_ttt", "d_ttx", "d_txx", "d_xxx")
-        body = ", ".join(f"{n}={e:.6g}" for n, e in zip(names, self.entries()))
+        def show(e):
+            if isinstance(e, np.ndarray):
+                return np.array2string(e, precision=6, separator=", ")
+            return f"{e:.6g}"
+        body = ", ".join(f"{n}={show(e)}" for n, e in zip(names, self.entries()))
         return f"Jet3({body})"
 
     # -- arithmetic --------------------------------------------------------
@@ -181,7 +247,7 @@ class Jet3:
             return Jet3([a[n] + b[n] for n in range(10)])
         if isinstance(other, (int, float)):
             out = list(self.c)
-            out[0] += other
+            out[0] = out[0] + other  # not +=, which would change an array entry of self
             return Jet3(out)
         return NotImplemented
 
@@ -193,14 +259,14 @@ class Jet3:
             return Jet3([a[n] - b[n] for n in range(10)])
         if isinstance(other, (int, float)):
             out = list(self.c)
-            out[0] -= other
+            out[0] = out[0] - other
             return Jet3(out)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, float)):
             out = [-ci for ci in self.c]
-            out[0] += other
+            out[0] = out[0] + other
             return Jet3(out)
         return NotImplemented
 
@@ -231,10 +297,9 @@ class Jet3:
 
     def _reciprocal(self) -> "Jet3":
         u = self.c[0]
-        if u == 0.0:
-            raise EvaluationError("division by zero in jet evaluation")
+        u = _fail_where(u == 0.0, u, "division by zero in jet evaluation")
         iu = 1.0 / u
-        return self.compose(iu, -iu * iu, 2.0 * iu ** 3, -6.0 * iu ** 4)
+        return self.compose(iu, -iu * iu, 2.0 * _ipow(iu, 3), -6.0 * _ipow(iu, 4))
 
     def __truediv__(self, other):
         if isinstance(other, Jet3):
@@ -259,6 +324,28 @@ class Jet3:
         for _ in range(n):
             out = out * self
         return out
+
+    # -- array jets --------------------------------------------------------
+
+    def masked(self, bad) -> "Jet3":
+        """This array jet with all ten entries NaN where ``bad`` holds."""
+        return Jet3([np.where(bad, math.nan, ci) for ci in self.c])
+
+    def take(self, mask) -> "Jet3":
+        """The elements of this array jet where ``mask`` holds."""
+        return Jet3([ci[mask] if isinstance(ci, np.ndarray) else ci for ci in self.c])
+
+    @staticmethod
+    def merge(mask, a: "Jet3", b: "Jet3") -> "Jet3":
+        """The array jet equal to ``a`` where ``mask`` holds and to ``b``
+        elsewhere, ``a`` and ``b`` holding just those elements."""
+        out = []
+        for ai, bi in zip(a.c, b.c):
+            ci = np.empty(mask.shape)
+            ci[mask] = ai
+            ci[~mask] = bi
+            out.append(ci)
+        return Jet3(out)
 
     # -- composition -------------------------------------------------------
 
@@ -321,6 +408,10 @@ class Jet3:
 
 
 # -- elementary functions (float / ndarray / Jet3) --------------------------
+#
+# On a jet, each function takes g(u) (and the derivatives that need more
+# than arithmetic) at the jet's value u through _pointwise, so an array jet
+# gets math's values element by element.
 
 def _dispatch(w, jet_fn, np_fn, math_fn):
     if isinstance(w, Jet3):
@@ -332,7 +423,7 @@ def _dispatch(w, jet_fn, np_fn, math_fn):
 
 def exp(w):
     def on_jet(j):
-        e = math.exp(j.c[0])
+        e = _pointwise(math.exp, j.c[0])
         return j.compose(e, e, e, e)
     return _dispatch(w, on_jet, np.exp, math.exp)
 
@@ -341,10 +432,9 @@ def log_abs(w):
     """ln|w|; the derivatives of ln|g| are g'/g regardless of sign."""
     def on_jet(j):
         u = j.c[0]
-        if u == 0.0:
-            raise EvaluationError("log of zero in jet evaluation")
+        u = _fail_where(u == 0.0, u, "log of zero in jet evaluation")
         iu = 1.0 / u
-        return j.compose(math.log(abs(u)), iu, -iu * iu, 2.0 * iu ** 3)
+        return j.compose(_pointwise(math.log, abs(u)), iu, -iu * iu, 2.0 * _ipow(iu, 3))
     def on_float(u):
         if u == 0.0:
             raise EvaluationError("log of zero")
@@ -355,30 +445,29 @@ def log_abs(w):
 def sqrt(w):
     def on_jet(j):
         u = j.c[0]
-        if u <= 0.0:
-            raise EvaluationError("sqrt of non-positive value in jet evaluation")
-        s = math.sqrt(u)
+        u = _fail_where(u <= 0.0, u, "sqrt of non-positive value in jet evaluation")
+        s = _pointwise(math.sqrt, u)
         return j.compose(s, 0.5 / s, -0.25 / (u * s), 0.375 / (u * u * s))
     return _dispatch(w, on_jet, np.sqrt, math.sqrt)
 
 
 def sin(w):
     def on_jet(j):
-        s, c = math.sin(j.c[0]), math.cos(j.c[0])
+        s, c = _pointwise(math.sin, j.c[0]), _pointwise(math.cos, j.c[0])
         return j.compose(s, c, -s, -c)
     return _dispatch(w, on_jet, np.sin, math.sin)
 
 
 def cos(w):
     def on_jet(j):
-        s, c = math.sin(j.c[0]), math.cos(j.c[0])
+        s, c = _pointwise(math.sin, j.c[0]), _pointwise(math.cos, j.c[0])
         return j.compose(c, -s, -c, s)
     return _dispatch(w, on_jet, np.cos, math.cos)
 
 
 def tan(w):
     def on_jet(j):
-        v = math.tan(j.c[0])
+        v = _pointwise(math.tan, j.c[0])
         q = 1.0 + v * v
         return j.compose(v, q, 2.0 * v * q, q * (2.0 + 6.0 * v * v))
     return _dispatch(w, on_jet, np.tan, math.tan)
@@ -386,21 +475,21 @@ def tan(w):
 
 def sinh(w):
     def on_jet(j):
-        s, c = math.sinh(j.c[0]), math.cosh(j.c[0])
+        s, c = _pointwise(math.sinh, j.c[0]), _pointwise(math.cosh, j.c[0])
         return j.compose(s, c, s, c)
     return _dispatch(w, on_jet, np.sinh, math.sinh)
 
 
 def cosh(w):
     def on_jet(j):
-        s, c = math.sinh(j.c[0]), math.cosh(j.c[0])
+        s, c = _pointwise(math.sinh, j.c[0]), _pointwise(math.cosh, j.c[0])
         return j.compose(c, s, c, s)
     return _dispatch(w, on_jet, np.cosh, math.cosh)
 
 
 def tanh(w):
     def on_jet(j):
-        v = math.tanh(j.c[0])
+        v = _pointwise(math.tanh, j.c[0])
         q = 1.0 - v * v
         return j.compose(v, q, -2.0 * v * q, q * (6.0 * v * v - 2.0))
     return _dispatch(w, on_jet, np.tanh, math.tanh)
@@ -409,10 +498,9 @@ def tanh(w):
 def coth(w):
     # coth' = 1 - coth^2, same recursion as tanh.
     def on_jet(j):
-        s = math.sinh(j.c[0])
-        if s == 0.0:
-            raise EvaluationError("coth at zero in jet evaluation")
-        v = math.cosh(j.c[0]) / s
+        s = _pointwise(math.sinh, j.c[0])
+        s = _fail_where(s == 0.0, s, "coth at zero in jet evaluation")
+        v = _pointwise(math.cosh, j.c[0]) / s
         q = 1.0 - v * v
         return j.compose(v, q, -2.0 * v * q, q * (6.0 * v * v - 2.0))
     def on_float(u):
@@ -427,8 +515,8 @@ def arctan(w):
     def on_jet(j):
         u = j.c[0]
         q = 1.0 / (1.0 + u * u)
-        return j.compose(math.atan(u), q, -2.0 * u * q * q,
-                         (6.0 * u * u - 2.0) * q ** 3)
+        return j.compose(_pointwise(math.atan, u), q, -2.0 * u * q * q,
+                         (6.0 * u * u - 2.0) * _ipow(q, 3))
     return _dispatch(w, on_jet, np.arctan, math.atan)
 
 
@@ -457,7 +545,14 @@ class ScalarField:
             raise EvaluationError(f"{exc} (field {self.name or '<anonymous>'})") from exc
 
     def jet(self, p: Point) -> Jet3:
+        """Exact jet at ``p`` by forward Taylor propagation.
+
+        A point of arrays gives an array jet, NaN at every element whose
+        point or jet is not finite; a single point raises instead.
+        """
         t, x = p
+        if isinstance(t, np.ndarray) or isinstance(x, np.ndarray):
+            return self._array_jet(t, x)
         if not (math.isfinite(t) and math.isfinite(x)):
             raise ValueError(f"non-finite evaluation point {p!r}")
         r = self._call(Jet3.variable_t(t), Jet3.variable_x(x))
@@ -466,6 +561,16 @@ class ScalarField:
             raise EvaluationError(
                 f"non-finite derivative of field {self.name or '<anonymous>'} at {p!r}")
         return j
+
+    def _array_jet(self, t, x) -> Jet3:
+        t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+        with np.errstate(all="ignore"):
+            r = self._call(Jet3.variable_t(t), Jet3.variable_x(x))
+        j = r if isinstance(r, Jet3) else Jet3.constant(r)
+        ok = np.isfinite(t) & np.isfinite(x)
+        for ci in j.c:
+            ok &= np.isfinite(ci)
+        return j if ok.all() else j.masked(~ok)
 
     def value(self, t: float, x: float) -> float:
         r = self._call(float(t), float(x))
@@ -524,15 +629,10 @@ def constant_field(v: float, name: str = "") -> ScalarField:
     return ScalarField(lambda t, x: v, name=name or f"{v:g}")
 
 
-def eval_jet(field: ScalarField, p: Point) -> Jet3:
-    """Exact jet of ``field`` at ``p`` by forward Taylor propagation."""
-    return field.jet(p)
-
-
 def fd_jet(field: ScalarField, p: Point, h: float = 1e-4) -> Jet3:
     """Second-order central-difference approximation of all Jet3 entries.
 
-    Independent of :func:`eval_jet` (uses only pointwise field values);
+    Independent of :meth:`ScalarField.jet` (uses only pointwise field values);
     meant for cross-validation in tests, not production use.
     """
     if h <= 0:
@@ -572,7 +672,8 @@ class Antiderivative:
     The value is computed by adaptive quadrature; all derivatives come from
     the closed form of the integrand (F' = g, F'' = g', F''' = g''), so
     jets through an Antiderivative stay exact apart from the quadrature
-    tolerance on the value itself.
+    tolerance on the value itself.  An array jet takes one quadrature per
+    element, memoised by abscissa, and is NaN where the quadrature fails.
     """
 
     def __init__(self, integrand: Callable, w0: float, abs_tol: float = 1e-12):
@@ -585,6 +686,7 @@ class Antiderivative:
         hit = self._cache.get(w)
         if hit is not None:
             return hit
+        from scipy.integrate import quad  # imported on first use: it is slow to import
         try:
             val, _ = quad(self.integrand, self.w0, w,
                           epsabs=self.abs_tol, epsrel=self.abs_tol, limit=200)
@@ -602,7 +704,7 @@ class Antiderivative:
             gj = self.integrand(Jet3.variable_t(w0v))
             if not isinstance(gj, Jet3):
                 gj = Jet3.constant(float(gj))
-            return w.compose(self._value(w0v), gj.v, gj.d_t, gj.d_tt)
+            return w.compose(_pointwise(self._value, w0v), gj.v, gj.d_t, gj.d_tt)
         if isinstance(w, np.ndarray):
             return np.array([self._value(float(wi)) for wi in np.ravel(w)]).reshape(np.shape(w))
         return self._value(float(w))

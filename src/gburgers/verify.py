@@ -14,18 +14,24 @@ substitution of exact jets:
 Raw residuals are signed; each operator also has a ``*_scaled`` companion
 reporting |r| / (1 + sum of |term|), which makes tolerances comparable
 across fields spanning orders of magnitude.
+
+Every operator also takes a :class:`Point` whose t and x are equal-length
+1-D arrays and then returns arrays, one element per point, each
+bit-identical to the residual of that point taken alone (array jets, see
+:mod:`gburgers.jets`).  Where a single point raises
+:class:`EvaluationError` (a jet that fails, theta_x or f within
+``EPS_COEFF`` of zero), the element is NaN.  :func:`sweep` evaluates a whole
+grid this way in one call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .jets import (EvaluationError, Jet3, Point, Region, ScalarField, eval_jet)
+from .jets import EvaluationError, Jet3, Point, Region, ScalarField
 
 #: f must stay this far from zero before 1/f-terms are formed
 EPS_COEFF = 1e-13
@@ -35,6 +41,7 @@ EPS_COEFF = 1e-13
 #: equivalent to identical vanishing.
 U_SAMPLES = (-2.0, -0.5, 0.0, 0.5, 2.0)
 
+#: jet_fn(field, p); None, the default, stands for ScalarField.jet
 JetFn = Callable[[ScalarField, Point], Jet3]
 
 
@@ -52,43 +59,83 @@ class EmptySweepError(Exception):
 
 # -- pointwise residuals -----------------------------------------------------
 
+def _jets(jet_fn, p, *fields) -> list[Jet3]:
+    if jet_fn is None:
+        return [field.jet(p) for field in fields]
+    return [jet_fn(field, p) for field in fields]
+
+
+def _nonvanishing(v, error, name: str, p):
+    """v, checked to stay more than EPS_COEFF away from zero: a float
+    raises ``error``, an array gets NaN where the check fails."""
+    if isinstance(v, np.ndarray):
+        return np.where(np.abs(v) <= EPS_COEFF, np.nan, v)
+    if abs(v) <= EPS_COEFF:
+        raise error(f"{name} = {v} at {tuple(p)}")
+    return v
+
+
+def _nan_where_failed(v, *values):
+    """v, NaN wherever one of the array ``values`` is NaN.  At an array
+    point, the value of a jet is NaN exactly where the jet failed."""
+    for u in values:
+        if isinstance(u, np.ndarray):
+            v = np.where(np.isnan(u), np.nan, v)
+    return v
+
+
+def _where(cond, a, b):
+    """``a if cond else b``, elementwise when cond is an array."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _max(*values):
+    """The builtin max, elementwise for arrays: a value replaces the
+    running maximum only where it is greater."""
+    best = values[0]
+    for v in values[1:]:
+        best = _where(v > best, v, best)
+    return best
+
+
 def _gbe_terms(u, f, p, jet_fn):
-    ju = jet_fn(u, p)
-    jf = jet_fn(f, p)
+    ju, jf = _jets(jet_fn, p, u, f)
     return (ju.d_t, ju.v * ju.d_x, jf.v * ju.d_xx)
 
 
-def gbe_residual(u: ScalarField, f: ScalarField, p: Point, jet_fn: JetFn = eval_jet) -> float:
+def gbe_residual(u: ScalarField, f: ScalarField, p: Point,
+                 jet_fn: Optional[JetFn] = None) -> float:
     """Signed residual of u_t + u*u_x + f*u_xx at p."""
     return sum(_gbe_terms(u, f, p, jet_fn))
 
 
 def gbe_residual_scaled(u: ScalarField, f: ScalarField, p: Point,
-                        jet_fn: JetFn = eval_jet) -> float:
+                        jet_fn: Optional[JetFn] = None) -> float:
     terms = _gbe_terms(u, f, p, jet_fn)
     return abs(sum(terms)) / (1.0 + sum(abs(s) for s in terms))
 
 
 def _pfde_terms(theta, p, jet_fn):
-    j = jet_fn(theta, p)
-    if abs(j.d_x) <= EPS_COEFF:
-        raise DegenerateGradientError(f"theta_x = {j.d_x} at {tuple(p)}")
-    return (j.d_t, -j.d_xx / j.d_x), j
+    j, = _jets(jet_fn, p, theta)
+    d_x = _nonvanishing(j.d_x, DegenerateGradientError, "theta_x", p)
+    return (j.d_t, -j.d_xx / d_x), j
 
 
-def pfde_residual(theta: ScalarField, p: Point, jet_fn: JetFn = eval_jet) -> float:
+def pfde_residual(theta: ScalarField, p: Point, jet_fn: Optional[JetFn] = None) -> float:
     """Signed residual of theta_t - theta_xx/theta_x at p."""
     terms, _ = _pfde_terms(theta, p, jet_fn)
     return sum(terms)
 
 
-def pfde_residual_scaled(theta: ScalarField, p: Point, jet_fn: JetFn = eval_jet) -> float:
+def pfde_residual_scaled(theta: ScalarField, p: Point, jet_fn: Optional[JetFn] = None) -> float:
     terms, _ = _pfde_terms(theta, p, jet_fn)
     return abs(sum(terms)) / (1.0 + sum(abs(s) for s in terms))
 
 
 def gfde_residual(theta: ScalarField, h: Callable[[float], float], p: Point,
-                  jet_fn: JetFn = eval_jet) -> float:
+                  jet_fn: Optional[JetFn] = None) -> float:
     """Signed residual of theta_t - theta_xx/theta_x - h(theta)*theta_x.
 
     ``h`` is a univariate function of the field value; only its value
@@ -100,60 +147,58 @@ def gfde_residual(theta: ScalarField, h: Callable[[float], float], p: Point,
 
 
 def gfde_residual_scaled(theta: ScalarField, h: Callable[[float], float], p: Point,
-                         jet_fn: JetFn = eval_jet) -> float:
+                         jet_fn: Optional[JetFn] = None) -> float:
     terms, j = _pfde_terms(theta, p, jet_fn)
     hx = h(j.v) * j.d_x
     return abs(sum(terms) - hx) / (1.0 + sum(abs(s) for s in terms) + abs(hx))
 
 
+def _potential_jets(theta, f, xi, p, jet_fn):
+    """Jets of theta and xi, and f's value, NaN also where xi's jet failed
+    (the second equation does not read xi)."""
+    jt, jf, jx = _jets(jet_fn, p, theta, f, xi)
+    fv = _nonvanishing(jf.v, VanishingCoefficientError, "f", p)
+    return jt, _nan_where_failed(fv, jx.v), jx
+
+
 def potential_residual(theta: ScalarField, f: ScalarField, xi: ScalarField, p: Point,
-                       jet_fn: JetFn = eval_jet) -> tuple[float, float]:
+                       jet_fn: Optional[JetFn] = None) -> tuple[float, float]:
     """Residuals of the potential system theta_t = xi/f, theta_x = -1/f."""
-    jt = jet_fn(theta, p)
-    jf = jet_fn(f, p)
-    jx = jet_fn(xi, p)
-    if abs(jf.v) <= EPS_COEFF:
-        raise VanishingCoefficientError(f"f = {jf.v} at {tuple(p)}")
-    return (jt.d_t - jx.v / jf.v, jt.d_x + 1.0 / jf.v)
+    jt, fv, jx = _potential_jets(theta, f, xi, p, jet_fn)
+    return (jt.d_t - jx.v / fv, jt.d_x + 1.0 / fv)
 
 
 def potential_residual_scaled(theta: ScalarField, f: ScalarField, xi: ScalarField,
-                              p: Point, jet_fn: JetFn = eval_jet) -> float:
-    jt = jet_fn(theta, p)
-    jf = jet_fn(f, p)
-    jx = jet_fn(xi, p)
-    if abs(jf.v) <= EPS_COEFF:
-        raise VanishingCoefficientError(f"f = {jf.v} at {tuple(p)}")
-    r1 = jt.d_t - jx.v / jf.v
-    r2 = jt.d_x + 1.0 / jf.v
-    s1 = 1.0 + abs(jt.d_t) + abs(jx.v / jf.v)
-    s2 = 1.0 + abs(jt.d_x) + abs(1.0 / jf.v)
-    return max(abs(r1) / s1, abs(r2) / s2)
+                              p: Point, jet_fn: Optional[JetFn] = None) -> float:
+    jt, fv, jx = _potential_jets(theta, f, xi, p, jet_fn)
+    r1 = jt.d_t - jx.v / fv
+    r2 = jt.d_x + 1.0 / fv
+    s1 = 1.0 + abs(jt.d_t) + abs(jx.v / fv)
+    s2 = 1.0 + abs(jt.d_x) + abs(1.0 / fv)
+    return _max(abs(r1) / s1, abs(r2) / s2)
 
 
 def reduced_system_residual(f: ScalarField, xi: ScalarField, p: Point,
-                            jet_fn: JetFn = eval_jet) -> tuple[float, float]:
+                            jet_fn: Optional[JetFn] = None) -> tuple[float, float]:
     """Residuals of the well-determined pair on (f, xi).
 
     r4 = 0 simultaneously certifies xi as a solution of the generalized
     Burgers equation with arbitrary element f.
     """
-    jf = jet_fn(f, p)
-    jx = jet_fn(xi, p)
+    jf, jx = _jets(jet_fn, p, f, xi)
     r3 = jf.d_t + jx.v * jf.d_x - jx.d_x * jf.v
     r4 = jx.d_t + jx.v * jx.d_x + jf.v * jx.d_xx
     return (r3, r4)
 
 
 def reduced_system_residual_scaled(f: ScalarField, xi: ScalarField, p: Point,
-                                   jet_fn: JetFn = eval_jet) -> float:
-    jf = jet_fn(f, p)
-    jx = jet_fn(xi, p)
+                                   jet_fn: Optional[JetFn] = None) -> float:
+    jf, jx = _jets(jet_fn, p, f, xi)
     t3 = (jf.d_t, jx.v * jf.d_x, -jx.d_x * jf.v)
     t4 = (jx.d_t, jx.v * jx.d_x, jf.v * jx.d_xx)
     s3 = 1.0 + sum(abs(s) for s in t3)
     s4 = 1.0 + sum(abs(s) for s in t4)
-    return max(abs(sum(t3)) / s3, abs(sum(t4)) / s4)
+    return _max(abs(sum(t3)) / s3, abs(sum(t4)) / s4)
 
 
 # -- reduction-operator coefficients ----------------------------------------
@@ -199,27 +244,24 @@ class DeterminingResiduals:
 
     @property
     def max_scaled(self) -> float:
-        return max(self.scaled)
+        return _max(*self.scaled)
 
 
 def determining_residuals(f: ScalarField, coeffs: ReductionOperatorCoefficients,
                           p: Point, u_samples: Sequence[float] = U_SAMPLES,
-                          jet_fn: JetFn = eval_jet) -> DeterminingResiduals:
+                          jet_fn: Optional[JetFn] = None) -> DeterminingResiduals:
     """Evaluate all five determining equations at p.
 
     The first four are split equations on the coefficient fields; the fifth
     couples eta back in and is polynomial of degree <= 4 in u, so it is
-    evaluated at ``u_samples`` and reported as the max over samples.
+    evaluated at ``u_samples`` and reported as the max over samples.  At an
+    array point, all five residuals are NaN where f vanishes or a jet fails.
     """
-    F = jet_fn(f, p)
-    if abs(F.v) <= EPS_COEFF:
-        raise VanishingCoefficientError(f"f = {F.v} at {tuple(p)}")
-    J1 = jet_fn(coeffs.xi1, p)
-    J0 = jet_fn(coeffs.xi0, p)
-    H1 = jet_fn(coeffs.eta1, p)
-    H0 = jet_fn(coeffs.eta0, p)
+    F, = _jets(jet_fn, p, f)
+    fv = _nonvanishing(F.v, VanishingCoefficientError, "f", p)
+    J1, J0, H1, H0 = _jets(jet_fn, p, coeffs.xi1, coeffs.xi0, coeffs.eta1, coeffs.eta0)
 
-    fv, ft, fx = F.v, F.d_t, F.d_x
+    ft, fx = F.d_t, F.d_x
     x1, x1t, x1x, x1xx = J1.v, J1.d_t, J1.d_x, J1.d_xx
     x0, x0t, x0x, x0xx = J0.v, J0.d_t, J0.d_x, J0.d_xx
     e1, e1x = H1.v, H1.d_x
@@ -248,11 +290,14 @@ def determining_residuals(f: ScalarField, coeffs: ReductionOperatorCoefficients,
         te = (ETA.d_t, u * ETA.d_x, fv * ETA.d_xx, 2.0 * xi_x * ETA.v,
               -(ft / fv) * ETA.v, -(fx / fv) * xi_v * ETA.v)
         re = abs(sum(te))
-        if re > re_best:
-            re_best = re
-            se_best = 1.0 + sum(abs(s) for s in te)
+        better = re > re_best
+        re_best = _where(better, re, re_best)
+        se_best = _where(better, 1.0 + sum(abs(s) for s in te), se_best)
 
     residuals = (sum(ta), sum(tb), sum(tc), sum(td), re_best)
+    # the first equations read neither f nor every jet, and a failed
+    # u-sample never replaces re_best: mark failed elements explicitly
+    residuals = tuple(_nan_where_failed(r, fv, J1.v, J0.v, H1.v, H0.v) for r in residuals)
     scales = tuple(1.0 + sum(abs(s) for s in ts) for ts in (ta, tb, tc, td)) + (se_best,)
     return DeterminingResiduals(residuals, scales)
 
@@ -314,67 +359,44 @@ class SweepReport:
         }
 
 
-def _sweep_rows(residual_fn, ts, xs, valid):
-    best = -1.0
-    argmax = Point(math.nan, math.nan)
-    checked = 0
-    skipped = 0
-    for t in ts:
-        for x in xs:
-            p = Point(float(t), float(x))
-            if valid is not None and not valid(p):
-                skipped += 1
-                continue
-            try:
-                r = abs(residual_fn(p))
-            except EvaluationError:
-                skipped += 1
-                continue
-            if not math.isfinite(r):
-                skipped += 1
-                continue
-            checked += 1
-            if r > best:
-                best = r
-                argmax = p
-    return best, argmax, checked, skipped
-
-
 def sweep(residual_fn: Callable[[Point], float], region: Region,
           n_t: int, n_x: int,
           valid: Optional[Callable[[Point], bool]] = None,
-          jobs: int = 1,
           scale_used: str = "relative") -> SweepReport:
     """Max |residual_fn| over the inclusive uniform n_t x n_x grid.
 
-    Invalid points (``valid`` false, or an :class:`EvaluationError`) are
-    skipped and counted.  The reduction is deterministic regardless of the
-    worker count: max by value with ties broken by lexicographically
-    smallest (t, x).
+    ``valid`` is asked point by point.  ``residual_fn`` is then called once,
+    on a :class:`Point` whose t and x are 1-D float arrays holding the valid
+    grid points in row-major (t, x) order, and must return one residual per
+    point (a float counts for every point).  The residuals of this module,
+    fed fields written against :mod:`gburgers.jets`, do so, and each element
+    is bit-identical to a call at that point alone.  Invalid points and
+    non-finite residuals are skipped and counted; so is every point if
+    ``residual_fn`` raises :class:`EvaluationError` for the whole grid.  The
+    reported argmax is the first maximum in row-major order, that is the
+    lexicographically smallest (t, x) among ties.
     """
     if n_t < 2 or n_x < 2:
         raise ValueError("grid must be at least 2x2")
     ts, xs = region.grid(n_t, n_x)
-
-    if jobs <= 1:
-        chunks = [_sweep_rows(residual_fn, ts, xs, valid)]
-    else:
-        row_blocks = np.array_split(ts, min(jobs, len(ts)))
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(
-                lambda block: _sweep_rows(residual_fn, block, xs, valid), row_blocks))
-
-    best = -1.0
-    argmax = Point(math.nan, math.nan)
-    checked = 0
-    skipped = 0
-    for b, am, ch, sk in chunks:
-        checked += ch
-        skipped += sk
-        if b > best or (b == best and ch > 0 and (am.t, am.x) < (argmax.t, argmax.x)):
-            best = b
-            argmax = am
+    T = np.repeat(ts, n_x)
+    X = np.tile(xs, n_t)
+    if valid is not None:
+        keep = np.fromiter(map(valid, map(Point, T.tolist(), X.tolist())), bool, T.size)
+        T, X = T[keep], X[keep]
+    r = np.full(T.size, np.nan)
+    if T.size:
+        try:
+            with np.errstate(all="ignore"):
+                r = np.abs(np.broadcast_to(residual_fn(Point(T, X)), T.shape).astype(float))
+        except EvaluationError:
+            pass
+    finite = np.flatnonzero(np.isfinite(r))
+    checked = int(finite.size)
+    skipped = n_t * n_x - checked
     if checked == 0:
         raise EmptySweepError(
             f"no valid points in {region} on a {n_t}x{n_x} grid ({skipped} skipped)")
-    return SweepReport(best, argmax, checked, skipped, scale_used)
+    k = finite[int(np.argmax(r[finite]))]
+    return SweepReport(float(r[k]), Point(float(T[k]), float(X[k])), checked, skipped,
+                       scale_used)

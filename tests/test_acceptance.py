@@ -15,7 +15,7 @@ from gburgers.ansatz import RiccatiBranch, build_solution, phi, rational_solutio
 from gburgers.catalog import case5_theta_reduction_check, get_case, iter_cases
 from gburgers.equivalence import (EquivalenceElement, apply_point, apply_u, compose,
                                   identity, inverse, transform_solution)
-from gburgers.jets import Point, Region, ScalarField, SingularPointError, cos, eval_jet, \
+from gburgers.jets import Point, Region, ScalarField, SingularPointError, cos, \
     fd_jet, sin
 from gburgers.numsolve import IbvpSpec, convergence_study
 from gburgers.verify import (ReductionOperatorCoefficients, determining_residuals,
@@ -163,8 +163,8 @@ def test_criterion_04_rational_family_universality():
             if not sol.valid(p):
                 continue
             n += 1
-            ju = eval_jet(sol.u, p)
-            jf = eval_jet(f, p)
+            ju = sol.u.jet(p)
+            jf = f.jet(p)
             r = ju.d_t + ju.v * ju.d_x + jf.v * ju.d_xx
             scale = 1.0 + abs(ju.d_t) + abs(ju.v * ju.d_x) + abs(jf.v * ju.d_xx)
             worst = max(worst, abs(r) / scale)
@@ -340,7 +340,7 @@ def test_criterion_08_ad_correctness(entries):
                 continue
             n += 1
             for field in (e.f, e.xi, e.theta):
-                ja = eval_jet(field, p)
+                ja = field.jet(p)
                 jb = fd_jet(field, p, h=2.5e-4)
                 for name, ea, eb in zip(names, ja.entries(), jb.entries()):
                     d = abs(ea - eb) / (1.0 + abs(ea))

@@ -8,7 +8,7 @@ from gburgers.ansatz import (RiccatiBranch, build_solution, matched_branch, phi,
                              xi_solution)
 from gburgers.catalog import get_case, iter_cases
 from gburgers.jets import (EvaluationError, Jet3, Point, ScalarField,
-                           SingularPointError, cos, eval_jet, sin)
+                           SingularPointError, cos, sin)
 from gburgers.verify import gbe_residual, gbe_residual_scaled
 
 
@@ -100,6 +100,26 @@ class TestRiccatiIdentity:
         d = phi_prime(b, om)
         for w, dv in zip(om, d):
             assert dv == pytest.approx(phi_prime(b, float(w)), rel=1e-14)
+
+
+def test_array_jet_matches_each_point():
+    # nu < 0 splits the elements by the sign of omega; poles become NaN
+    values = [-400.0, -1.0, -0.5, 0.0, 0.5, 1.0, 400.0, math.pi / 2]
+    omega = Jet3.variable_x(np.array(values)) * 1.0
+    branches = [RiccatiBranch(-1.0, 1.0, 1.0), RiccatiBranch(-2.0, 1.0, -0.3),
+                RiccatiBranch(-1.0, 1.0, -1.0), RiccatiBranch(0.0, 1.0, 1.0),
+                RiccatiBranch(1.0, 1.0, 0.0)]
+    for b in branches:
+        for fn in (phi, phi_prime):
+            out = fn(b, omega)
+            for i, v in enumerate(values):
+                got = [float(ci[i] if isinstance(ci, np.ndarray) else ci).hex()
+                       for ci in out.c]
+                try:
+                    want = [float(ci).hex() for ci in fn(b, Jet3.variable_x(v) * 1.0).c]
+                except SingularPointError:
+                    want = [math.nan.hex()] * 10
+                assert got == want, (b, fn.__name__, v)
 
 
 def test_constant_ratio_is_the_only_essential_parameter():
@@ -201,7 +221,7 @@ class TestRationalSolution:
         sol = rational_solution(1.0, 2.0, ScalarField(lambda T, X: -1.0))
         assert not sol.valid(Point(-2.0, 0.0))
         with pytest.raises(EvaluationError):
-            eval_jet(sol.u, Point(-2.0, 0.0))
+            sol.u.jet(Point(-2.0, 0.0))
 
 
 class TestXiSolution:

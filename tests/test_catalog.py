@@ -6,7 +6,7 @@ import pytest
 
 from gburgers.catalog import (CASE5_W0, CatalogEntry, case5_theta_reduction_check,
                               catalog_json, eval_case, get_case, iter_cases)
-from gburgers.jets import Point, SingularPointError, eval_jet
+from gburgers.jets import Point, SingularPointError
 
 
 def valid_points(entry, n, seed=0, box=None):
@@ -63,9 +63,9 @@ def test_all_cases_have_usable_sample_regions():
 def test_potential_relations_on_random_points(entry):
     # f = -1/theta_x and xi = -theta_t/theta_x on [-3,3]^2 wherever valid
     for p in valid_points(entry, 200, seed=1, box=(-3, 3, -3, 3)):
-        jf = eval_jet(entry.f, p)
-        jx = eval_jet(entry.xi, p)
-        jt = eval_jet(entry.theta, p)
+        jf = entry.f.jet(p)
+        jx = entry.xi.jet(p)
+        jt = entry.theta.jet(p)
         assert jt.d_x != 0.0
         assert abs(jf.v + 1.0 / jt.d_x) <= 1e-10 * (1.0 + abs(jf.v))
         assert abs(jx.v + jt.d_t / jt.d_x) <= 1e-10 * (1.0 + abs(jx.v))
@@ -74,7 +74,7 @@ def test_potential_relations_on_random_points(entry):
 @pytest.mark.parametrize("entry", iter_cases(), ids=lambda e: f"case{e.id}")
 def test_theta_solves_potential_fast_diffusion(entry):
     for p in valid_points(entry, 200, seed=2, box=(-3, 3, -3, 3)):
-        jt = eval_jet(entry.theta, p)
+        jt = entry.theta.jet(p)
         assert abs(jt.d_t - jt.d_xx / jt.d_x) <= 1e-10 * (1.0 + abs(jt.d_t))
 
 

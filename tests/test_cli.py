@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -116,12 +119,6 @@ class TestVerify:
                   "--res", "10x10")
         assert res.exit_code == 0
 
-    def test_jobs_give_identical_output(self, runner):
-        a = run(runner, "verify", "--case", "12", "--which", "gbe", "--res", "12x12")
-        b = run(runner, "verify", "--case", "12", "--which", "gbe", "--res", "12x12",
-                "--jobs", "4")
-        assert a.output == b.output
-
 
 class TestTransform:
     def test_identity_matches_eval(self, runner):
@@ -190,3 +187,24 @@ class TestDeterminism:
         res2 = run(runner, "eval", "--case", "7", "--solution", "xi",
                    "--region", "1,1,1,2", "--res", "2x3")
         assert "1.5" in res2.output
+
+
+def test_scipy_is_imported_only_when_needed():
+    # scipy.optimize (case 5 roots for lambda != 1) and scipy.integrate
+    # (case 5 quadrature) are slow to import; listing the catalog needs neither
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = """if True:
+        import sys
+        import gburgers.cli
+        loaded = lambda: [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
+        print(loaded())
+        gburgers.cli.cli(["list"], standalone_mode=False)
+        print(loaded())
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out[0] == "[]"
+    assert out[-1] == "[]"
+    assert len(out) == 2 + 18  # the listing: header and 17 rows

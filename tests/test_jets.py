@@ -5,7 +5,7 @@ import pytest
 
 from gburgers.catalog import iter_cases
 from gburgers.jets import (Antiderivative, EvaluationError, Jet3, Point, Region,
-                           ScalarField, arctan, cos, cosh, coth, eval_jet, exp,
+                           ScalarField, arctan, cos, cosh, coth, exp,
                            fd_jet, log_abs, sin, sinh, sqrt, tan, tanh)
 
 ENTRY_NAMES = ("v", "d_t", "d_x", "d_tt", "d_tx", "d_xx", "d_ttt", "d_ttx", "d_txx", "d_xxx")
@@ -21,14 +21,14 @@ def entries_close(a: Jet3, b: Jet3, tol2: float, tol3: float) -> None:
 
 def test_constant_field_all_derivatives_zero():
     f = ScalarField(lambda T, X: 5.0)
-    j = eval_jet(f, Point(0.3, -1.7))
+    j = f.jet(Point(0.3, -1.7))
     assert j.v == 5.0
     assert all(e == 0.0 for e in j.entries()[1:])
 
 
 def test_coordinate_field():
     f = ScalarField(lambda T, X: X)
-    j = eval_jet(f, Point(1.0, 2.0))
+    j = f.jet(Point(1.0, 2.0))
     assert j.v == 2.0
     assert j.d_x == 1.0
     others = [e for n, e in zip(ENTRY_NAMES, j.entries()) if n not in ("v", "d_x")]
@@ -37,7 +37,7 @@ def test_coordinate_field():
 
 def test_t_independent_field_has_zero_t_entries():
     f = ScalarField(lambda T, X: exp(X) * sin(X))
-    j = eval_jet(f, Point(0.9, 0.4))
+    j = f.jet(Point(0.9, 0.4))
     for name in ("d_t", "d_tt", "d_tx", "d_ttt", "d_ttx", "d_txx"):
         assert getattr(j, name) == 0.0, name
 
@@ -45,7 +45,7 @@ def test_t_independent_field_has_zero_t_entries():
 def test_hand_differentiated_example():
     # theta(t, x) = -2t/x at (1, 2)
     f = ScalarField(lambda T, X: -2.0 * T / X)
-    j = eval_jet(f, Point(1.0, 2.0))
+    j = f.jet(Point(1.0, 2.0))
     assert j.v == pytest.approx(-1.0, abs=1e-15)
     assert j.d_t == pytest.approx(-1.0, abs=1e-15)
     assert j.d_x == pytest.approx(0.5, abs=1e-15)
@@ -71,7 +71,7 @@ def test_fd_jet_constant():
 def test_fd_jet_matches_eval_jet():
     f = ScalarField(lambda T, X: -2.0 * T / X)
     p = Point(1.0, 2.0)
-    entries_close(eval_jet(f, p), fd_jet(f, p, h=1e-4), tol2=1e-5, tol3=1e-3)
+    entries_close(f.jet(p), fd_jet(f, p, h=1e-4), tol2=1e-5, tol3=1e-3)
 
 
 def test_fd_jet_rejects_bad_h():
@@ -92,7 +92,7 @@ def test_fd_oracle_on_catalog_fields(entry):
             continue
         n += 1
         for field in (entry.f, entry.xi, entry.theta):
-            entries_close(eval_jet(field, p), fd_jet(field, p, h=2.5e-4),
+            entries_close(field.jet(p), fd_jet(field, p, h=2.5e-4),
                           tol2=1e-5, tol3=1e-3)
 
 
@@ -104,8 +104,8 @@ def test_linearity():
         a, b = rng.uniform(-3, 3, size=2)
         p = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
         H = a * F + b * G
-        jh = eval_jet(H, p)
-        jf, jg = eval_jet(F, p), eval_jet(G, p)
+        jh = H.jet(p)
+        jf, jg = F.jet(p), G.jet(p)
         for eh, ef, eg in zip(jh.entries(), jf.entries(), jg.entries()):
             want = a * ef + b * eg
             scale = 1.0 + abs(a * ef) + abs(b * eg)
@@ -119,7 +119,7 @@ def test_product_rule():
     rng = np.random.default_rng(6)
     for _ in range(100):
         p = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        jf, jg, jh = eval_jet(F, p), eval_jet(G, p), eval_jet(H, p)
+        jf, jg, jh = F.jet(p), G.jet(p), H.jet(p)
         want = jf.v * jg.d_x + jf.d_x * jg.v
         assert abs(jh.d_x - want) <= 1e-13 * (1.0 + abs(want))
 
@@ -133,14 +133,14 @@ def test_chain_rule_through_every_elementary_function():
     for fn, x0 in cases:
         field = ScalarField(lambda T, X, fn=fn: fn(X * X + T))
         p = Point(0.3, x0)
-        entries_close(eval_jet(field, p), fd_jet(field, p, h=1e-4),
+        entries_close(field.jet(p), fd_jet(field, p, h=1e-4),
                       tol2=1e-5, tol3=1e-3)
 
 
 def test_division_by_zero_raises_not_nan():
     f = ScalarField(lambda T, X: 1.0 / X)
     with pytest.raises(EvaluationError):
-        eval_jet(f, Point(1.0, 0.0))
+        f.jet(Point(1.0, 0.0))
     with pytest.raises(EvaluationError):
         f.value(1.0, 0.0)
 
@@ -148,7 +148,7 @@ def test_division_by_zero_raises_not_nan():
 def test_log_of_zero_raises():
     f = ScalarField(lambda T, X: log_abs(X))
     with pytest.raises(EvaluationError):
-        eval_jet(f, Point(0.0, 0.0))
+        f.jet(Point(0.0, 0.0))
 
 
 def test_overflow_raises():
@@ -160,18 +160,18 @@ def test_overflow_raises():
 def test_sqrt_domain():
     f = ScalarField(lambda T, X: sqrt(X))
     with pytest.raises(EvaluationError):
-        eval_jet(f, Point(0.0, -1.0))
+        f.jet(Point(0.0, -1.0))
 
 
 def test_non_finite_point_rejected():
     f = ScalarField(lambda T, X: X)
     with pytest.raises(ValueError):
-        eval_jet(f, Point(math.nan, 0.0))
+        f.jet(Point(math.nan, 0.0))
 
 
 def test_integer_powers():
     f = ScalarField(lambda T, X: X ** 3 + T ** (-2))
-    j = eval_jet(f, Point(2.0, 1.5))
+    j = f.jet(Point(2.0, 1.5))
     assert j.v == pytest.approx(1.5 ** 3 + 0.25, rel=1e-15)
     assert j.d_x == pytest.approx(3 * 1.5 ** 2, rel=1e-15)
     assert j.d_t == pytest.approx(-2 / 2.0 ** 3, rel=1e-15)
@@ -183,9 +183,9 @@ def test_field_arithmetic_compositions():
     combos = [F + G, F - G, F * G, F / G, -F, 2.0 * F, F + 1.0, 3.0 - F, 6.0 / G]
     p = Point(0.25, 1.25)
     for H in combos:
-        jH = eval_jet(H, p)
+        jH = H.jet(p)
         assert all(math.isfinite(e) for e in jH.entries())
-    assert eval_jet(F / G, p).v == pytest.approx(1.5 / 1.0)
+    assert (F / G).jet(p).v == pytest.approx(1.5 / 1.0)
 
 
 def test_sample_vectorized_matches_pointwise():
@@ -204,9 +204,9 @@ def test_antiderivative_value_and_derivatives():
     assert A(3.5) == pytest.approx(math.log(2.5), abs=1e-11)
     field = ScalarField(lambda T, X: A(X / T))
     p = Point(1.0, 3.0)
-    j = eval_jet(field, p)
+    j = field.jet(p)
     ref = ScalarField(lambda T, X: log_abs(X / T - 1.0))
-    jr = eval_jet(ref, p)
+    jr = ref.jet(p)
     for a, b in zip(j.entries(), jr.entries()):
         assert abs(a - b) <= 1e-10 * (1.0 + abs(b))
 
@@ -296,23 +296,42 @@ ELEMENTARY = (  # function, range of the value it is taken at
 )
 
 
-def test_kernel_bit_identical_to_reference_loop(monkeypatch):
+def seeded_jet_sets(count=400):
+    """Per set: jets a and b (b with a nonzero value), composition
+    derivatives g, a power k, and one jet per elementary function with its
+    value in that function's range."""
     rng = np.random.default_rng(2024)
-    cases = []
-    for n in range(400):
+    sets = []
+    for n in range(count):
         nan3 = n % 4 == 3  # the order-3 NaN that deriv_t/deriv_x leave
         a, b = random_jet(rng, nan_order3=nan3), random_jet(rng)
         if b.c[0] == 0.0:
             b.c[0] = 0.5
         g = [random_coefficient(rng) for _ in range(4)]
-        cases.append((lambda a=a, b=b: a * b, f"mul {n}"))
-        cases.append((lambda a=a, b=b: b * a, f"rmul {n}"))
-        cases.append((lambda a=a, b=b: a / b, f"div {n}"))
-        cases.append((lambda b=b: 3.5 / b, f"rdiv {n}"))
-        cases.append((lambda a=a, g=g: a.compose(*g), f"compose {n}"))
-        cases.append((lambda b=b, k=int(rng.integers(-3, 4)): b ** k, f"pow {n}"))
-        for fn, (lo, hi) in ELEMENTARY:
-            j = random_jet(rng, value=float(rng.uniform(lo, hi)), nan_order3=nan3)
+        k = int(rng.integers(-3, 4))
+        by_fn = [random_jet(rng, value=float(rng.uniform(lo, hi)), nan_order3=nan3)
+                 for _, (lo, hi) in ELEMENTARY]
+        sets.append((a, b, g, k, by_fn))
+    return sets
+
+
+#: binary operations of jets a and b (b's value is nonzero), and compose
+JET_OPS = {
+    "mul": lambda a, b, g: a * b,
+    "rmul": lambda a, b, g: b * a,
+    "div": lambda a, b, g: a / b,
+    "rdiv": lambda a, b, g: 3.5 / b,
+    "compose": lambda a, b, g: a.compose(*g),
+}
+
+
+def test_kernel_bit_identical_to_reference_loop(monkeypatch):
+    cases = []
+    for n, (a, b, g, k, by_fn) in enumerate(seeded_jet_sets()):
+        for name, op in JET_OPS.items():
+            cases.append((lambda op=op, a=a, b=b, g=g: op(a, b, g), f"{name} {n}"))
+        cases.append((lambda b=b, k=k: b ** k, f"pow {n}"))
+        for (fn, _), j in zip(ELEMENTARY, by_fn):
             cases.append((lambda fn=fn, j=j: fn(j), f"{fn.__name__} {n}"))
     got = [bits(op()) for op, _ in cases]
     monkeypatch.setattr(Jet3, "__mul__", reference_mul)
@@ -335,3 +354,110 @@ def test_derivative_jets_mark_order_three_as_nan():
     k = exp(dt * j) / (dt + 2.0) - dt ** 2
     assert all(math.isfinite(e) for e in k.entries()[:6])
     assert all(math.isnan(e) for e in k.entries()[6:])
+
+
+# -- array jets: one jet holding many points -------------------------------
+
+def stack(jets) -> Jet3:
+    return Jet3([np.array([j.c[n] for j in jets]) for n in range(10)])
+
+
+def element_bits(j: Jet3, i: int) -> list[str]:
+    return [float(ci[i] if isinstance(ci, np.ndarray) else ci).hex() for ci in j.c]
+
+
+def assert_elements_match(array_result: Jet3, scalar_results, label: str) -> None:
+    for i, r in enumerate(scalar_results):
+        assert element_bits(array_result, i) == bits(r), f"{label} element {i}"
+
+
+def test_array_jet_bit_identical_to_each_scalar_jet():
+    sets = seeded_jet_sets()
+    A = stack([s[0] for s in sets])
+    B = stack([s[1] for s in sets])
+    G = [np.array(col) for col in zip(*(s[2] for s in sets))]
+    unary = {
+        "add": lambda a, b: a + b, "sub": lambda a, b: a - b, "neg": lambda a, b: -a,
+        "add number": lambda a, b: a + 1.25, "radd number": lambda a, b: 1.25 + a,
+        "sub number": lambda a, b: a - 1.25, "rsub number": lambda a, b: 1.25 - a,
+        "mul number": lambda a, b: a * -0.75, "div number": lambda a, b: a / 3.0,
+        "deriv_t": lambda a, b: a.deriv_t(), "deriv_x": lambda a, b: a.deriv_x(),
+    }
+    for name, op in unary.items():
+        assert_elements_match(op(A, B), [op(s[0], s[1]) for s in sets], name)
+    for name, op in JET_OPS.items():
+        assert_elements_match(op(A, B, G), [op(s[0], s[1], s[2]) for s in sets], name)
+    for k in range(-3, 4):
+        assert_elements_match(B ** k, [s[1] ** k for s in sets], f"pow {k}")
+    for m, (fn, _) in enumerate(ELEMENTARY):
+        J = stack([s[4][m] for s in sets])
+        assert_elements_match(fn(J), [fn(s[4][m]) for s in sets], fn.__name__)
+
+
+def test_array_jet_failures_are_elementwise():
+    # where the jet of a single point raises, that element alone is NaN
+    values = [1.5, 0.0, -2.0, 800.0, 0.25]
+    u = Jet3.variable_x(np.array(values))
+    cases = [(lambda j: 1.0 / j, {1}), (lambda j: j ** -2, {1}), (log_abs, {1}),
+             (coth, {1, 3}), (sqrt, {1, 2}), (exp, {3}), (sinh, {3}), (cosh, {3}),
+             (lambda j: exp(j * j), {3})]
+    for fn, bad in cases:
+        out = fn(u)
+        for i, v in enumerate(values):
+            if i in bad:
+                assert all(math.isnan(float.fromhex(h)) for h in element_bits(out, i)), (fn, i)
+                with pytest.raises((EvaluationError, ArithmeticError)):
+                    fn(Jet3.variable_x(v))
+            else:
+                assert element_bits(out, i) == bits(fn(Jet3.variable_x(v))), (fn, i)
+
+
+def test_adding_a_number_leaves_an_array_jet_unchanged():
+    j = Jet3.variable_x(np.array([1.0, 2.0, 3.0]))
+    before = [np.copy(ci) for ci in j.c]
+    for k in (j + 1.0, 1.0 + j, j - 1.0, 1.0 - j, j * 2.0, j / 2.0, -j):
+        assert k.c[0] is not j.c[0]
+    assert all(np.array_equal(a, b) for a, b in zip(j.c, before))
+    assert (j + 1.0).c[0].tolist() == [2.0, 3.0, 4.0]
+
+
+def test_repr_of_an_array_jet():
+    text = repr(Jet3.variable_x(np.array([1.0, 2.5])))
+    assert text.startswith("Jet3(v=[1. , 2.5], d_t=0, d_x=1, d_tt=0,")
+    assert repr(Jet3.variable_x(2.5)).startswith("Jet3(v=2.5, d_t=0, d_x=1,")
+
+
+def test_numpy_scalars_defer_to_jets():
+    j = Jet3.variable_x(np.array([1.0, 2.0]))
+    for k in (np.float64(2.0) * j, np.float64(2.0) + j, np.float64(2.0) - j,
+              np.float64(2.0) / j):
+        assert isinstance(k, Jet3)
+    assert (np.float64(2.0) * j).c[0].tolist() == [2.0, 4.0]
+
+
+def test_field_jet_at_array_points():
+    field = ScalarField(lambda T, X: log_abs(X) * exp(T) + 1.0 / (T - 1.0))
+    ts = [0.5, 0.5, 1.0, math.nan, 0.25, -0.5]
+    xs = [2.0, 0.0, 1.0, 1.0, -3.0, math.inf]
+    j = field.jet(Point(np.array(ts), np.array(xs)))
+    for i, p in enumerate(zip(ts, xs)):
+        try:
+            want = bits(field.jet(Point(*p)))
+        except (EvaluationError, ValueError):
+            want = [math.nan.hex()] * 10
+        assert element_bits(j, i) == want, p
+    # a field that does not depend on the point gives scalar entries
+    c = ScalarField(lambda T, X: -1.0).jet(Point(np.array(ts[:3]), np.array(xs[:3])))
+    assert c.c == Jet3.constant(-1.0).c
+
+
+def test_antiderivative_of_an_array_jet():
+    A = Antiderivative(lambda w: 1.0 / w, w0=1.0)
+    field = ScalarField(lambda T, X: A(X) * T)
+    ts, xs = [1.0, 0.0, 2.0], [2.0, -1.0, 0.5]
+    j = field.jet(Point(np.array(ts), np.array(xs)))
+    assert all(math.isnan(float.fromhex(e)) for e in element_bits(j, 1))
+    for i in (0, 2):
+        B = Antiderivative(lambda w: 1.0 / w, w0=1.0)  # a fresh memo
+        ref = ScalarField(lambda T, X: B(X) * T).jet(Point(ts[i], xs[i]))
+        assert element_bits(j, i) == bits(ref)

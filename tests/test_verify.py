@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
+from gburgers.ansatz import RiccatiBranch, build_solution
 from gburgers.catalog import get_case, iter_cases
-from gburgers.jets import Point, Region, ScalarField, fd_jet, tanh
-from gburgers.verify import (DegenerateGradientError, EmptySweepError,
+from gburgers.equivalence import EquivalenceElement, apply_point, transform_solution
+from gburgers.jets import EvaluationError, Point, Region, ScalarField, exp, fd_jet, tanh
+from gburgers.verify import (DegenerateGradientError, EmptySweepError, SweepReport,
                              LinearReductionOperator, ReductionOperatorCoefficients,
                              VanishingCoefficientError, determining_residuals,
                              gbe_residual, gbe_residual_scaled, gfde_residual,
                              linear_operator_fields, pfde_residual,
                              pfde_residual_scaled, potential_residual,
+                             potential_residual_scaled,
                              reduced_system_residual, reduced_system_residual_scaled,
                              sweep)
 
@@ -224,13 +229,32 @@ class TestSweep:
             sweep(lambda p: pfde_residual_scaled(e.theta, p),
                   Region(1.0, 2.0, 0.0, 0.0), 5, 5, valid=e.valid)
 
-    def test_jobs_do_not_change_the_report(self):
-        e = get_case(12)
-        fn = lambda p: reduced_system_residual_scaled(e.f, e.xi, p)
-        reps = [sweep(fn, e.sample_region, 23, 17, valid=e.valid, jobs=j)
-                for j in (1, 2, 5)]
-        for rep in reps[1:]:
-            assert rep == reps[0]
+    def test_residual_fn_sees_valid_points_once_in_row_major_order(self):
+        e = get_case(7)
+        calls = []
+
+        def fn(p):
+            calls.append(p)
+            return np.zeros(len(p.t))
+
+        rep = sweep(fn, Region(1.0, 2.0, -1.0, 1.0), 3, 5, valid=e.valid)
+        assert len(calls) == 1
+        ts, xs = calls[0]
+        assert ts.tolist() == [1.0] * 4 + [1.5] * 4 + [2.0] * 4
+        assert xs.tolist() == [-1.0, -0.5, 0.5, 1.0] * 3
+        assert (rep.points_checked, rep.points_skipped) == (12, 3)
+        assert rep.argmax == Point(1.0, -1.0)
+
+    def test_batch_evaluation_error_skips_every_point(self):
+        def fn(p):
+            raise EvaluationError("fails for the whole grid")
+        with pytest.raises(EmptySweepError, match=r"\(12 skipped\)"):
+            sweep(fn, Region(0, 1, 0, 1), 3, 4)
+
+    def test_non_finite_residuals_are_skipped(self):
+        rep = sweep(lambda p: np.where(p.x > 0.0, np.nan, p.x), Region(0, 1, -1, 1), 2, 5)
+        assert (rep.points_checked, rep.points_skipped) == (6, 4)
+        assert rep.max_abs_residual == 1.0 and rep.argmax == Point(0.0, -1.0)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -257,3 +281,180 @@ def test_residuals_cross_checked_against_fd(entry):
         scale = 1.0 + abs(entry.f.value(*p)) + abs(entry.xi.value(*p))
         assert abs(a3 - b3) <= 1e-5 * scale
         assert abs(a4 - b4) <= 1e-5 * scale
+
+
+# -- reference oracle: the per-point sweep ------------------------------------
+
+def reference_sweep(residual_fn, region, n_t, n_x, valid=None):
+    """The sweep as one call per grid point, each at a scalar Point."""
+    best = -1.0
+    argmax = Point(math.nan, math.nan)
+    checked = 0
+    skipped = 0
+    ts, xs = region.grid(n_t, n_x)
+    for t in ts:
+        for x in xs:
+            p = Point(float(t), float(x))
+            if valid is not None and not valid(p):
+                skipped += 1
+                continue
+            try:
+                r = abs(residual_fn(p))
+            except EvaluationError:
+                skipped += 1
+                continue
+            if not math.isfinite(r):
+                skipped += 1
+                continue
+            checked += 1
+            if r > best:
+                best = r
+                argmax = p
+    if checked == 0:
+        raise EmptySweepError(f"{skipped} skipped")
+    return SweepReport(best, argmax, checked, skipped)
+
+
+def report_bits(rep):
+    return (float(rep.max_abs_residual).hex(), float(rep.argmax.t).hex(),
+            float(rep.argmax.x).hex(), rep.points_checked, rep.points_skipped)
+
+
+def assert_same_as_reference(fn, region, n_t, n_x, valid=None, min_checked=1):
+    want = reference_sweep(fn, region, n_t, n_x, valid)
+    got = sweep(fn, region, n_t, n_x, valid=valid)
+    assert report_bits(got) == report_bits(want)
+    assert got.points_checked >= min_checked
+    return got
+
+
+def relation_fns(e):
+    coeffs = ReductionOperatorCoefficients.from_xi(e.xi)
+    common = ReductionOperatorCoefficients.common_operator()
+    return {
+        "pfde": lambda p: pfde_residual_scaled(e.theta, p),
+        "potential": lambda p: potential_residual_scaled(e.theta, e.f, e.xi, p),
+        "reduced": lambda p: reduced_system_residual_scaled(e.f, e.xi, p),
+        "xi_gbe": lambda p: gbe_residual_scaled(e.xi, e.f, p),
+        "determining": lambda p: determining_residuals(e.f, coeffs, p).max_scaled,
+        "common": lambda p: determining_residuals(e.f, common, p).max_scaled,
+        "pfde_raw": lambda p: pfde_residual(e.theta, p),
+        "potential_raw": lambda p: sum(potential_residual(e.theta, e.f, e.xi, p)),
+        "reduced_raw": lambda p: sum(reduced_system_residual(e.f, e.xi, p)),
+        "gbe_raw": lambda p: gbe_residual(e.xi, e.f, p),
+    }
+
+
+def riccati_branches(e):
+    """One branch per sign of nu; some put poles on the sweep region."""
+    lo, hi = (e.theta.value(e.sample_region.t0, e.sample_region.x0),
+              e.theta.value(e.sample_region.t1, e.sample_region.x1))
+    mid = 0.5 * (lo + hi)
+    return [RiccatiBranch(-1.0, 1.0, 1.0), RiccatiBranch(-2.0, 1.0, -0.3),
+            RiccatiBranch(0.0, -mid, 1.0), RiccatiBranch(1.0, math.cos(mid), math.sin(mid))]
+
+
+@pytest.mark.parametrize("entry", iter_cases(), ids=lambda e: f"case{e.id}")
+class TestBatchedSweepMatchesPerPointSweep:
+    def test_catalog_relations(self, entry):
+        for fn in relation_fns(entry).values():
+            assert_same_as_reference(fn, entry.sample_region, 11, 13, valid=entry.valid)
+
+    def test_riccati_families(self, entry):
+        for b in riccati_branches(entry):
+            sol = build_solution(entry, b)
+            fn = lambda p, s=sol: gbe_residual_scaled(s.u, s.f, p)
+            assert_same_as_reference(fn, entry.sample_region, 11, 13, valid=sol.valid)
+            # the catalog predicate only: poles of phi are skipped by the residual
+            assert_same_as_reference(fn, entry.sample_region, 11, 13, valid=entry.valid)
+
+    def test_pushforward(self, entry):
+        sol = build_solution(entry, RiccatiBranch(-1.0, 1.0, 1.0))
+        g = EquivalenceElement(1.1, 0.05, 0.02, 0.95, mu0=0.3, mu1=-0.2, kappa=-1.3)
+        tsol = transform_solution(g, sol)
+        r = entry.sample_region
+        img = [apply_point(g, Point(t, x)) for t in (r.t0, r.t1) for x in (r.x0, r.x1)]
+        target = Region(min(q.t for q in img), max(q.t for q in img),
+                        min(q.x for q in img), max(q.x for q in img))
+        assert_same_as_reference(lambda p: gbe_residual_scaled(tsol.u, tsol.f, p),
+                                 target, 11, 13, valid=tsol.valid)
+
+
+class TestBatchedSweepAcrossSkips:
+    """Regions that cross each kind of skipped point."""
+
+    def test_predicate_line_case7(self):
+        e = get_case(7)
+        for fn in relation_fns(e).values():
+            rep = assert_same_as_reference(fn, Region(1.0, 2.0, -1.0, 1.0), 9, 9,
+                                           valid=e.valid)
+            assert rep.points_skipped == 9
+
+    def test_failed_jets_without_predicate_case7(self):
+        # no predicate: at x = 0 the jet of theta = -2t/x fails and f = -x^2/(2t)
+        # vanishes, while xi = x/t and f themselves stay regular
+        e = get_case(7)
+        skipped = {name: assert_same_as_reference(fn, Region(1.0, 2.0, -1.0, 1.0), 9, 9)
+                   .points_skipped for name, fn in relation_fns(e).items()}
+        assert skipped == {"pfde": 9, "potential": 9, "reduced": 0, "xi_gbe": 0,
+                           "determining": 9, "common": 9, "pfde_raw": 9,
+                           "potential_raw": 9, "reduced_raw": 0, "gbe_raw": 0}
+
+    def test_root_rays_case5(self):
+        # lambda = 1/2 puts the rays x/t = -1.678... and 0.768... inside the region
+        e = get_case(5, 0.5)
+        for name in ("pfde", "potential", "reduced", "determining"):
+            fn = relation_fns(e)[name]
+            rep = assert_same_as_reference(fn, Region(0.5, 1.0, -2.0, 3.0), 7, 23,
+                                           valid=e.valid)
+            assert rep.points_skipped > 0
+
+    def test_pole_of_phi(self):
+        # nu = 0, (c1, c2) = (-1/2, 1): theta = x puts the pole on the line x = 1/2
+        e = get_case(2)
+        sol = build_solution(e, RiccatiBranch(0.0, -0.5, 1.0))
+        fn = lambda p: gbe_residual_scaled(sol.u, sol.f, p)
+        rep = assert_same_as_reference(fn, Region(0.0, 1.0, 0.0, 1.0), 5, 9, valid=e.valid)
+        assert rep.points_skipped == 5
+        rep = assert_same_as_reference(fn, Region(0.0, 1.0, 0.0, 1.0), 5, 9, valid=sol.valid)
+        assert rep.points_skipped == 5
+
+    def test_vanishing_theta_x(self):
+        theta = ScalarField(lambda T, X: X * X * X + T)
+        rep = assert_same_as_reference(lambda p: pfde_residual_scaled(theta, p),
+                                       Region(0.0, 1.0, -1.0, 1.0), 4, 5)
+        assert rep.points_skipped == 4
+
+    def test_vanishing_f(self):
+        f = ScalarField(lambda T, X: X * (1.0 + T))
+        xi = ScalarField(lambda T, X: T - X)
+        theta = ScalarField(lambda T, X: T * X)
+        coeffs = ReductionOperatorCoefficients.from_xi(xi)
+        region = Region(0.0, 1.0, -1.0, 1.0)
+        for fn in (lambda p: potential_residual_scaled(theta, f, xi, p),
+                   lambda p: sum(potential_residual(theta, f, xi, p)),
+                   lambda p: determining_residuals(f, coeffs, p).max_scaled):
+            rep = assert_same_as_reference(fn, region, 4, 5)
+            assert rep.points_skipped == 4
+
+    def test_failed_jet_of_a_field_one_equation_does_not_read(self):
+        # xi fails at x = 0; the second potential equation and the first
+        # determining equations do not read it, yet the point is skipped
+        theta = ScalarField(lambda T, X: T + X)
+        xi = ScalarField(lambda T, X: 1.0 / X)
+        coeffs = ReductionOperatorCoefficients.from_xi(xi)
+        region = Region(0.0, 1.0, -1.0, 1.0)
+        for fn in (lambda p: potential_residual_scaled(theta, F_MINUS_ONE, xi, p),
+                   lambda p: potential_residual(theta, F_MINUS_ONE, xi, p)[1],
+                   lambda p: determining_residuals(F_MINUS_ONE, coeffs, p).max_scaled):
+            rep = assert_same_as_reference(fn, region, 4, 5)
+            assert rep.points_skipped == 4
+
+    def test_overflow_in_a_later_equation_follows_the_builtin_max(self):
+        # xi*xi_x overflows, so the second equation reads inf/inf = NaN while
+        # the first stays finite; max(finite, nan) keeps the finite value
+        xi = ScalarField(lambda T, X: 1e200 * exp(X))
+        fn = lambda p: reduced_system_residual_scaled(F_MINUS_ONE, xi, p)
+        assert math.isinf(reduced_system_residual(F_MINUS_ONE, xi, Point(0.0, 0.0))[1])
+        rep = assert_same_as_reference(fn, Region(0.0, 1.0, -1.0, 1.0), 3, 4)
+        assert rep.points_checked == 12

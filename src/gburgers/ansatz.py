@@ -22,8 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .catalog import EPS_DEN, CatalogEntry
-from .jets import (EvaluationError, Jet3, Point, ScalarField,
-                   SingularPointError, cos, exp, sin)
+from .jets import Jet3, Point, ScalarField, SingularPointError, cos, exp, refine, sin
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,12 @@ class RiccatiBranch:
 
 @dataclass(frozen=True)
 class SolutionField:
-    """A scalar field u together with the arbitrary element it solves."""
+    """A scalar field u together with the arbitrary element it solves.
+
+    ``valid`` is a validity predicate: a Point of floats gives a bool, a
+    Point of equal-length 1-D arrays a bool array, each element the answer
+    at that point alone (:func:`gburgers.jets.valid_mask`).
+    """
 
     u: ScalarField
     f: ScalarField
@@ -49,51 +53,30 @@ class SolutionField:
     valid: Callable[[Point], bool]
 
 
-def _scalar(w) -> float:
-    return w.c[0] if isinstance(w, Jet3) else float(w)
+def _value(w):
+    return w.c[0] if isinstance(w, Jet3) else w
 
 
 def _check_pole(den, c1: float, c2: float):
-    """den, checked to stay off the poles: a float, a jet or a plain array
-    raises SingularPointError; an array jet gets NaN at the pole elements."""
+    """den, checked to stay off the poles: a float or a jet raises
+    SingularPointError; an array or an array jet gets NaN at the pole
+    elements."""
     margin = EPS_DEN * (abs(c1) + abs(c2))
-    if isinstance(den, np.ndarray):
-        if float(np.min(np.abs(den))) <= margin:
+    pole = abs(_value(den)) <= margin
+    if not isinstance(pole, np.ndarray):
+        if pole:
             raise SingularPointError("pole of the solution branch")
         return den
-    v = _scalar(den)
-    if isinstance(v, np.ndarray):
-        pole = np.abs(v) <= margin
-        return den.masked(pole) if pole.any() else den
-    if abs(v) <= margin:
-        raise SingularPointError("pole of the solution branch")
-    return den
-
-
-def _phi_negative_nu_array(k: float, c1: float, c2: float, omega: np.ndarray,
-                           derivative: bool) -> np.ndarray:
-    """Elementwise sign-rescaled evaluation of the nu < 0 branch."""
-    out = np.empty(np.shape(omega), dtype=float)
-    pos = omega >= 0.0
-    for mask, sign in ((pos, -1.0), (~pos, 1.0)):
-        if not np.any(mask):
-            continue
-        r = np.exp(2.0 * sign * k * omega[mask])
-        den = (c1 + c2 * r) if sign < 0 else (c1 * r + c2)
-        _check_pole(den, c1, c2)
-        if derivative:
-            out[mask] = -8.0 * k * k * c1 * c2 * r / (den * den)
-        else:
-            num = (c1 - c2 * r) if sign < 0 else (c1 * r - c2)
-            out[mask] = -2.0 * k * num / den
-    return out
+    if not pole.any():
+        return den
+    return den.masked(pole) if isinstance(den, Jet3) else np.where(pole, np.nan, den)
 
 
 def _negative_nu(b: RiccatiBranch, omega, derivative: bool):
-    """The nu < 0 branch (or its derivative) at a float or a jet, rescaled
-    by the dominant exponential so that large |k*omega| cannot overflow.
-    An array jet is split by the sign of its value, and each part is
-    evaluated on its own elements only."""
+    """The nu < 0 branch (or its derivative) at a float, an array or a jet,
+    rescaled by the dominant exponential so that large |k*omega| cannot
+    overflow.  An array or an array jet is split by the sign of its value,
+    and each part is evaluated on its own elements only."""
     nu, c1, c2 = b.nu, b.c1, b.c2
     k = math.sqrt(-nu)
 
@@ -110,17 +93,25 @@ def _negative_nu(b: RiccatiBranch, omega, derivative: bool):
             return 8.0 * nu * c1 * c2 * r / (den * den)
         return -2.0 * k * num / den
 
-    v = _scalar(omega)
+    v = _value(omega)
     if not isinstance(v, np.ndarray):
         return part(omega, v >= 0.0)
     nonneg = v >= 0.0
     if nonneg.all() or not nonneg.any():
         return part(omega, bool(nonneg.all()))
-    return Jet3.merge(nonneg, part(omega.take(nonneg), True), part(omega.take(~nonneg), False))
+    if isinstance(omega, Jet3):
+        return Jet3.merge(nonneg, part(omega.take(nonneg), True),
+                          part(omega.take(~nonneg), False))
+    out = np.empty(omega.shape)
+    out[nonneg] = part(omega[nonneg], True)
+    out[~nonneg] = part(omega[~nonneg], False)
+    return out
 
 
 def phi(b: RiccatiBranch, omega) -> float:
-    """Branch value at omega; accepts floats, plain arrays and jets.
+    """Branch value at omega; accepts floats, plain arrays and jets.  A
+    pole raises SingularPointError at a float or a jet of one point, and is
+    NaN at an element of an array or an array jet.
 
     nu < 0:  -2k*(c1*e^{k w} - c2*e^{-k w})/(c1*e^{k w} + c2*e^{-k w}),  k = sqrt(-nu)
     nu = 0:  -2*c2/(c1 + c2*w)
@@ -128,8 +119,6 @@ def phi(b: RiccatiBranch, omega) -> float:
     """
     nu, c1, c2 = b.nu, b.c1, b.c2
     if nu < 0.0:
-        if isinstance(omega, np.ndarray):
-            return _phi_negative_nu_array(math.sqrt(-nu), c1, c2, omega, derivative=False)
         return _negative_nu(b, omega, derivative=False)
     if nu == 0.0:
         den = _check_pole(c1 + c2 * omega, c1, c2)
@@ -144,8 +133,6 @@ def phi_prime(b: RiccatiBranch, omega) -> float:
     right-hand side (so that the residual check below means something)."""
     nu, c1, c2 = b.nu, b.c1, b.c2
     if nu < 0.0:
-        if isinstance(omega, np.ndarray):
-            return _phi_negative_nu_array(math.sqrt(-nu), c1, c2, omega, derivative=True)
         return _negative_nu(b, omega, derivative=True)
     if nu == 0.0:
         den = _check_pole(c1 + c2 * omega, c1, c2)
@@ -166,20 +153,20 @@ def build_solution(entry: CatalogEntry, b: RiccatiBranch) -> SolutionField:
 
     Validity intersects the catalog predicate with pole-freeness of the
     branch at theta(p); poles are genuine solution blow-ups, not defects.
+    theta is evaluated only where the catalog predicate holds.
     """
     theta = entry.theta
 
     u = ScalarField(lambda T, X: phi(b, theta.expr(T, X)),
                     name=f"phi[nu={b.nu:g},c1={b.c1:g},c2={b.c2:g}](theta[{entry.id}])")
 
-    def valid(p: Point) -> bool:
-        if not entry.valid(p):
-            return False
-        try:
-            phi(b, theta.value(*p))
-        except EvaluationError:
-            return False
-        return True
+    def off_poles(p: Point):
+        # on arrays, where a failed theta and a pole of phi are NaN
+        w = theta.sample(np.atleast_1d(p.t), np.atleast_1d(p.x))
+        return (np.isfinite(w) & np.isfinite(phi(b, w))).reshape(np.shape(p.t))
+
+    def valid(p: Point):
+        return refine(entry.valid(p), p, off_poles)
 
     return SolutionField(
         u=u, f=entry.f,
@@ -195,7 +182,7 @@ def rational_solution(c1: float, c2: float, f: ScalarField) -> SolutionField:
     """
     u = ScalarField(lambda T, X: (X + c1) / (T + c2), name=f"(x+{c1:g})/(t+{c2:g})")
 
-    def valid(p: Point) -> bool:
+    def valid(p: Point):
         return abs(p.t + c2) > EPS_DEN
 
     return SolutionField(u=u, f=f, provenance=f"rational-invariant(c1={c1:g}, c2={c2:g})",

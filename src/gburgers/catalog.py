@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 from .jets import (Antiderivative, Point, Region, ScalarField,
                    SingularPointError, arctan, cos, cosh, coth, exp, log_abs,
-                   sin, sinh, tan, tanh)
+                   refine, sin, sinh, tan, tanh)
 
 #: absolute (not scale-aware) margin used by all validity predicates to keep
 #: denominators away from zero
@@ -44,7 +44,12 @@ N_CASES = 17
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One catalog row: closed forms plus validity metadata."""
+    """One catalog row: closed forms plus validity metadata.
+
+    ``valid`` is a validity predicate: a Point of floats gives a bool, a
+    Point of equal-length 1-D arrays a bool array, each element the answer
+    at that point alone (:func:`gburgers.jets.valid_mask`).
+    """
 
     id: int
     f: ScalarField
@@ -123,15 +128,16 @@ def _build_case5(lam: float) -> CatalogEntry:
 
     theta_int = Antiderivative(lambda w: 1.0 / den(w), CASE5_W0, abs_tol=1e-12)
 
-    def valid(p: Point) -> bool:
-        t, x = p
-        if abs(t) <= EPS_DEN:
-            return False
-        w = x / t
-        if abs(den(w)) <= EPS_DEN:
-            return False
-        lo, hi = min(w, CASE5_W0), max(w, CASE5_W0)
-        return not any(lo < r < hi for r in roots)
+    def off_rays(p: Point):
+        # off the rays where den(x/t) vanishes, and on the anchor's side of each
+        w = p.x / p.t
+        ok = abs(den(w)) > EPS_DEN
+        for r in roots:
+            ok &= ((w >= r) & (CASE5_W0 >= r)) | ((w <= r) & (CASE5_W0 <= r))
+        return ok
+
+    def valid(p: Point):
+        return refine(abs(p.t) > EPS_DEN, p, off_rays)
 
     f = ScalarField(lambda T, X: T - X - lam * T * exp(-X / T), name="f[5]")
     xi = ScalarField(lambda T, X: 1.0 - lam * exp(-X / T), name="xi[5]")
@@ -153,190 +159,120 @@ def _build_case5(lam: float) -> CatalogEntry:
     )
 
 
-def _entry(case_id, f, xi, theta, valid, singular, region, f_expr, xi_expr, theta_expr):
-    return CatalogEntry(
-        id=case_id, f=f, xi=xi, theta=theta, lam=None, valid=valid,
-        singular_description=singular, sample_region=region,
-        f_expr=f_expr, xi_expr=xi_expr, theta_expr=theta_expr,
-    )
+E = EPS_DEN  # shorthand for the predicates below
+
+#: case id -> expressions of f, xi and theta in (T, X), validity predicate,
+#: singular set, sample region, and the printed forms of f, xi and theta
+_ROWS = {
+    1: (lambda T, X: 1.0 + exp(-T - X),
+        lambda T, X: exp(-T - X),
+        lambda T, X: -log_abs(exp(X) + exp(-T)),
+        _always_valid, "none (smooth on all of R^2)", Region(0.0, 1.0, -1.0, 1.0),
+        "1 + exp(-t-x)", "exp(-t-x)", "-ln(exp(x) + exp(-t))"),
+    2: (lambda T, X: -1.0,
+        lambda T, X: 0.0,
+        lambda T, X: X,
+        _always_valid, "none (constant-coefficient equation)", Region(0.0, 1.0, -2.0, 2.0),
+        "-1", "0", "x"),
+    3: (lambda T, X: 1.0 - exp(-T - X),
+        lambda T, X: -exp(-T - X),
+        lambda T, X: -log_abs(exp(X) - exp(-T)),
+        lambda p: abs(exp(p.x) - exp(-p.t)) > E,
+        "the curve x = -t (zero of exp(x) - exp(-t))", Region(0.2, 1.2, 0.3, 1.3),
+        "1 - exp(-t-x)", "-exp(-t-x)", "-ln|exp(x) - exp(-t)|"),
+    4: (lambda T, X: -exp(-X),
+        lambda T, X: -exp(-X),
+        lambda T, X: exp(X) + T,
+        _always_valid, "none (smooth on all of R^2)", Region(0.0, 1.0, -1.0, 1.0),
+        "-exp(-x)", "-exp(-x)", "exp(x) + t"),
+    6: (lambda T, X: (T * T - X * X) / (2.0 * T),
+        lambda T, X: X / T,
+        lambda T, X: log_abs((X - T) / (X + T)),
+        lambda p: (abs(p.t) > E) & (abs(p.x - p.t) > E) & (abs(p.x + p.t) > E),
+        "the lines t = 0, x = t, x = -t", Region(0.5, 1.0, 1.5, 3.0),
+        "(t^2 - x^2)/(2t)", "x/t", "ln|(x-t)/(x+t)|"),
+    7: (lambda T, X: -X * X / (2.0 * T),
+        lambda T, X: X / T,
+        lambda T, X: -2.0 * T / X,
+        lambda p: (abs(p.t) > E) & (abs(p.x) > E),
+        "the lines t = 0, x = 0", Region(1.0, 2.0, 1.0, 3.0),
+        "-x^2/(2t)", "x/t", "-2t/x"),
+    8: (lambda T, X: -(T * T + X * X) / (2.0 * T),
+        lambda T, X: X / T,
+        lambda T, X: 2.0 * arctan(X / T),
+        lambda p: abs(p.t) > E,
+        "the line t = 0", Region(0.5, 1.5, -1.0, 1.0),
+        "-(t^2 + x^2)/(2t)", "x/t", "2*arctan(x/t)"),
+    9: (lambda T, X: -cos(X) * cos(X) / (2.0 * T),
+        lambda T, X: -sin(2.0 * X) / (2.0 * T),
+        lambda T, X: 2.0 * T * tan(X),
+        lambda p: (abs(p.t) > E) & (abs(cos(p.x)) > E),
+        "the line t = 0 and the lines x = pi/2 + k*pi", Region(0.5, 1.5, -0.6, 0.6),
+        "-cos(x)^2/(2t)", "-sin(2x)/(2t)", "2t*tan(x)"),
+    10: (lambda T, X: cosh(X) * cosh(X) / (2.0 * T),
+         lambda T, X: -sinh(2.0 * X) / (2.0 * T),
+         lambda T, X: -2.0 * T * tanh(X),
+         lambda p: abs(p.t) > E,
+         "the line t = 0", Region(0.5, 1.5, -1.0, 1.0),
+         "cosh(x)^2/(2t)", "-sinh(2x)/(2t)", "-2t*tanh(x)"),
+    11: (lambda T, X: -sinh(X) * sinh(X) / (2.0 * T),
+         lambda T, X: sinh(2.0 * X) / (2.0 * T),
+         lambda T, X: -2.0 * T * coth(X),
+         lambda p: (abs(p.t) > E) & (abs(sinh(p.x)) > E),
+         "the lines t = 0, x = 0", Region(0.5, 1.5, 0.5, 1.5),
+         "-sinh(x)^2/(2t)", "sinh(2x)/(2t)", "-2t*coth(x)"),
+    12: (lambda T, X: (cos(2.0 * X) - cos(2.0 * T)) / (2.0 * sin(2.0 * T)),
+         lambda T, X: sin(2.0 * X) / sin(2.0 * T),
+         lambda T, X: log_abs(sin(X - T) / sin(X + T)),
+         lambda p: ((abs(sin(2.0 * p.t)) > E) & (abs(sin(p.x - p.t)) > E)
+                    & (abs(sin(p.x + p.t)) > E)),
+         "the lines t = k*pi/2 and x = t + k*pi, x = -t + k*pi", Region(0.3, 0.7, 1.0, 1.4),
+         "(cos(2x) - cos(2t))/(2 sin(2t))", "sin(2x)/sin(2t)", "ln|sin(x-t)/sin(x+t)|"),
+    13: (lambda T, X: (cosh(2.0 * T) - cosh(2.0 * X)) / (2.0 * sinh(2.0 * T)),
+         lambda T, X: sinh(2.0 * X) / sinh(2.0 * T),
+         lambda T, X: log_abs(sinh(X - T) / sinh(X + T)),
+         lambda p: ((abs(sinh(2.0 * p.t)) > E) & (abs(sinh(p.x - p.t)) > E)
+                    & (abs(sinh(p.x + p.t)) > E)),
+         "the lines t = 0, x = t, x = -t", Region(0.3, 0.8, 1.2, 2.0),
+         "(cosh(2t) - cosh(2x))/(2 sinh(2t))", "sinh(2x)/sinh(2t)",
+         "ln|sinh(x-t)/sinh(x+t)|"),
+    14: (lambda T, X: (sinh(2.0 * T) - sinh(2.0 * X)) / (2.0 * cosh(2.0 * T)),
+         lambda T, X: cosh(2.0 * X) / cosh(2.0 * T),
+         lambda T, X: log_abs(sinh(X - T) / cosh(X + T)),
+         lambda p: abs(sinh(p.x - p.t)) > E,
+         "the line x = t", Region(0.3, 0.8, 1.2, 2.0),
+         "(sinh(2t) - sinh(2x))/(2 cosh(2t))", "cosh(2x)/cosh(2t)",
+         "ln|sinh(x-t)/cosh(x+t)|"),
+    15: (lambda T, X: (cosh(2.0 * T) + cosh(2.0 * X)) / (2.0 * sinh(2.0 * T)),
+         lambda T, X: -sinh(2.0 * X) / sinh(2.0 * T),
+         lambda T, X: log_abs(cosh(X - T) / cosh(X + T)),
+         lambda p: abs(sinh(2.0 * p.t)) > E,
+         "the line t = 0", Region(0.3, 0.8, -1.0, 1.0),
+         "(cosh(2t) + cosh(2x))/(2 sinh(2t))", "-sinh(2x)/sinh(2t)",
+         "ln|cosh(x-t)/cosh(x+t)|"),
+    16: (lambda T, X: (cos(2.0 * T) - cosh(2.0 * X)) / (2.0 * sin(2.0 * T)),
+         lambda T, X: sinh(2.0 * X) / sin(2.0 * T),
+         lambda T, X: 2.0 * arctan(cos(T) / sin(T) * tanh(X)),
+         lambda p: abs(sin(2.0 * p.t)) > E,
+         "the lines t = k*pi/2", Region(0.3, 0.7, 0.3, 1.0),
+         "(cos(2t) - cosh(2x))/(2 sin(2t))", "sinh(2x)/sin(2t)", "2*arctan(cot(t)*tanh(x))"),
+    17: (lambda T, X: (cos(2.0 * X) - cosh(2.0 * T)) / (2.0 * sinh(2.0 * T)),
+         lambda T, X: sin(2.0 * X) / sinh(2.0 * T),
+         lambda T, X: 2.0 * arctan(cosh(T) / sinh(T) * tan(X)),
+         lambda p: (abs(sinh(2.0 * p.t)) > E) & (abs(cos(p.x)) > E),
+         "the line t = 0 and the lines x = pi/2 + k*pi", Region(0.3, 0.8, -0.6, 0.6),
+         "(cos(2x) - cosh(2t))/(2 sinh(2t))", "sin(2x)/sinh(2t)", "2*arctan(coth(t)*tan(x))"),
+}
 
 
 def _build_case(case_id: int) -> CatalogEntry:
-    E = EPS_DEN
-    if case_id == 1:
-        return _entry(
-            1,
-            ScalarField(lambda T, X: 1.0 + exp(-T - X), name="f[1]"),
-            ScalarField(lambda T, X: exp(-T - X), name="xi[1]"),
-            ScalarField(lambda T, X: -log_abs(exp(X) + exp(-T)), name="theta[1]"),
-            _always_valid, "none (smooth on all of R^2)",
-            Region(0.0, 1.0, -1.0, 1.0),
-            "1 + exp(-t-x)", "exp(-t-x)", "-ln(exp(x) + exp(-t))")
-    if case_id == 2:
-        return _entry(
-            2,
-            ScalarField(lambda T, X: -1.0, name="f[2]"),
-            ScalarField(lambda T, X: 0.0, name="xi[2]"),
-            ScalarField(lambda T, X: X, name="theta[2]"),
-            _always_valid, "none (constant-coefficient equation)",
-            Region(0.0, 1.0, -2.0, 2.0),
-            "-1", "0", "x")
-    if case_id == 3:
-        return _entry(
-            3,
-            ScalarField(lambda T, X: 1.0 - exp(-T - X), name="f[3]"),
-            ScalarField(lambda T, X: -exp(-T - X), name="xi[3]"),
-            ScalarField(lambda T, X: -log_abs(exp(X) - exp(-T)), name="theta[3]"),
-            lambda p: abs(math.exp(p.x) - math.exp(-p.t)) > E,
-            "the curve x = -t (zero of exp(x) - exp(-t))",
-            Region(0.2, 1.2, 0.3, 1.3),
-            "1 - exp(-t-x)", "-exp(-t-x)", "-ln|exp(x) - exp(-t)|")
-    if case_id == 4:
-        return _entry(
-            4,
-            ScalarField(lambda T, X: -exp(-X), name="f[4]"),
-            ScalarField(lambda T, X: -exp(-X), name="xi[4]"),
-            ScalarField(lambda T, X: exp(X) + T, name="theta[4]"),
-            _always_valid, "none (smooth on all of R^2)",
-            Region(0.0, 1.0, -1.0, 1.0),
-            "-exp(-x)", "-exp(-x)", "exp(x) + t")
-    if case_id == 6:
-        return _entry(
-            6,
-            ScalarField(lambda T, X: (T * T - X * X) / (2.0 * T), name="f[6]"),
-            ScalarField(lambda T, X: X / T, name="xi[6]"),
-            ScalarField(lambda T, X: log_abs((X - T) / (X + T)), name="theta[6]"),
-            lambda p: abs(p.t) > E and abs(p.x - p.t) > E and abs(p.x + p.t) > E,
-            "the lines t = 0, x = t, x = -t",
-            Region(0.5, 1.0, 1.5, 3.0),
-            "(t^2 - x^2)/(2t)", "x/t", "ln|(x-t)/(x+t)|")
-    if case_id == 7:
-        return _entry(
-            7,
-            ScalarField(lambda T, X: -X * X / (2.0 * T), name="f[7]"),
-            ScalarField(lambda T, X: X / T, name="xi[7]"),
-            ScalarField(lambda T, X: -2.0 * T / X, name="theta[7]"),
-            lambda p: abs(p.t) > E and abs(p.x) > E,
-            "the lines t = 0, x = 0",
-            Region(1.0, 2.0, 1.0, 3.0),
-            "-x^2/(2t)", "x/t", "-2t/x")
-    if case_id == 8:
-        return _entry(
-            8,
-            ScalarField(lambda T, X: -(T * T + X * X) / (2.0 * T), name="f[8]"),
-            ScalarField(lambda T, X: X / T, name="xi[8]"),
-            ScalarField(lambda T, X: 2.0 * arctan(X / T), name="theta[8]"),
-            lambda p: abs(p.t) > E,
-            "the line t = 0",
-            Region(0.5, 1.5, -1.0, 1.0),
-            "-(t^2 + x^2)/(2t)", "x/t", "2*arctan(x/t)")
-    if case_id == 9:
-        return _entry(
-            9,
-            ScalarField(lambda T, X: -cos(X) * cos(X) / (2.0 * T), name="f[9]"),
-            ScalarField(lambda T, X: -sin(2.0 * X) / (2.0 * T), name="xi[9]"),
-            ScalarField(lambda T, X: 2.0 * T * tan(X), name="theta[9]"),
-            lambda p: abs(p.t) > E and abs(math.cos(p.x)) > E,
-            "the line t = 0 and the lines x = pi/2 + k*pi",
-            Region(0.5, 1.5, -0.6, 0.6),
-            "-cos(x)^2/(2t)", "-sin(2x)/(2t)", "2t*tan(x)")
-    if case_id == 10:
-        return _entry(
-            10,
-            ScalarField(lambda T, X: cosh(X) * cosh(X) / (2.0 * T), name="f[10]"),
-            ScalarField(lambda T, X: -sinh(2.0 * X) / (2.0 * T), name="xi[10]"),
-            ScalarField(lambda T, X: -2.0 * T * tanh(X), name="theta[10]"),
-            lambda p: abs(p.t) > E,
-            "the line t = 0",
-            Region(0.5, 1.5, -1.0, 1.0),
-            "cosh(x)^2/(2t)", "-sinh(2x)/(2t)", "-2t*tanh(x)")
-    if case_id == 11:
-        return _entry(
-            11,
-            ScalarField(lambda T, X: -sinh(X) * sinh(X) / (2.0 * T), name="f[11]"),
-            ScalarField(lambda T, X: sinh(2.0 * X) / (2.0 * T), name="xi[11]"),
-            ScalarField(lambda T, X: -2.0 * T * coth(X), name="theta[11]"),
-            lambda p: abs(p.t) > E and abs(math.sinh(p.x)) > E,
-            "the lines t = 0, x = 0",
-            Region(0.5, 1.5, 0.5, 1.5),
-            "-sinh(x)^2/(2t)", "sinh(2x)/(2t)", "-2t*coth(x)")
-    if case_id == 12:
-        return _entry(
-            12,
-            ScalarField(lambda T, X: (cos(2.0 * X) - cos(2.0 * T)) / (2.0 * sin(2.0 * T)),
-                        name="f[12]"),
-            ScalarField(lambda T, X: sin(2.0 * X) / sin(2.0 * T), name="xi[12]"),
-            ScalarField(lambda T, X: log_abs(sin(X - T) / sin(X + T)), name="theta[12]"),
-            lambda p: (abs(math.sin(2.0 * p.t)) > E
-                       and abs(math.sin(p.x - p.t)) > E
-                       and abs(math.sin(p.x + p.t)) > E),
-            "the lines t = k*pi/2 and x = t + k*pi, x = -t + k*pi",
-            Region(0.3, 0.7, 1.0, 1.4),
-            "(cos(2x) - cos(2t))/(2 sin(2t))", "sin(2x)/sin(2t)",
-            "ln|sin(x-t)/sin(x+t)|")
-    if case_id == 13:
-        return _entry(
-            13,
-            ScalarField(lambda T, X: (cosh(2.0 * T) - cosh(2.0 * X)) / (2.0 * sinh(2.0 * T)),
-                        name="f[13]"),
-            ScalarField(lambda T, X: sinh(2.0 * X) / sinh(2.0 * T), name="xi[13]"),
-            ScalarField(lambda T, X: log_abs(sinh(X - T) / sinh(X + T)), name="theta[13]"),
-            lambda p: (abs(math.sinh(2.0 * p.t)) > E
-                       and abs(math.sinh(p.x - p.t)) > E
-                       and abs(math.sinh(p.x + p.t)) > E),
-            "the lines t = 0, x = t, x = -t",
-            Region(0.3, 0.8, 1.2, 2.0),
-            "(cosh(2t) - cosh(2x))/(2 sinh(2t))", "sinh(2x)/sinh(2t)",
-            "ln|sinh(x-t)/sinh(x+t)|")
-    if case_id == 14:
-        return _entry(
-            14,
-            ScalarField(lambda T, X: (sinh(2.0 * T) - sinh(2.0 * X)) / (2.0 * cosh(2.0 * T)),
-                        name="f[14]"),
-            ScalarField(lambda T, X: cosh(2.0 * X) / cosh(2.0 * T), name="xi[14]"),
-            ScalarField(lambda T, X: log_abs(sinh(X - T) / cosh(X + T)), name="theta[14]"),
-            lambda p: abs(math.sinh(p.x - p.t)) > E,
-            "the line x = t",
-            Region(0.3, 0.8, 1.2, 2.0),
-            "(sinh(2t) - sinh(2x))/(2 cosh(2t))", "cosh(2x)/cosh(2t)",
-            "ln|sinh(x-t)/cosh(x+t)|")
-    if case_id == 15:
-        return _entry(
-            15,
-            ScalarField(lambda T, X: (cosh(2.0 * T) + cosh(2.0 * X)) / (2.0 * sinh(2.0 * T)),
-                        name="f[15]"),
-            ScalarField(lambda T, X: -sinh(2.0 * X) / sinh(2.0 * T), name="xi[15]"),
-            ScalarField(lambda T, X: log_abs(cosh(X - T) / cosh(X + T)), name="theta[15]"),
-            lambda p: abs(math.sinh(2.0 * p.t)) > E,
-            "the line t = 0",
-            Region(0.3, 0.8, -1.0, 1.0),
-            "(cosh(2t) + cosh(2x))/(2 sinh(2t))", "-sinh(2x)/sinh(2t)",
-            "ln|cosh(x-t)/cosh(x+t)|")
-    if case_id == 16:
-        return _entry(
-            16,
-            ScalarField(lambda T, X: (cos(2.0 * T) - cosh(2.0 * X)) / (2.0 * sin(2.0 * T)),
-                        name="f[16]"),
-            ScalarField(lambda T, X: sinh(2.0 * X) / sin(2.0 * T), name="xi[16]"),
-            ScalarField(lambda T, X: 2.0 * arctan(cos(T) / sin(T) * tanh(X)), name="theta[16]"),
-            lambda p: abs(math.sin(2.0 * p.t)) > E,
-            "the lines t = k*pi/2",
-            Region(0.3, 0.7, 0.3, 1.0),
-            "(cos(2t) - cosh(2x))/(2 sin(2t))", "sinh(2x)/sin(2t)",
-            "2*arctan(cot(t)*tanh(x))")
-    if case_id == 17:
-        return _entry(
-            17,
-            ScalarField(lambda T, X: (cos(2.0 * X) - cosh(2.0 * T)) / (2.0 * sinh(2.0 * T)),
-                        name="f[17]"),
-            ScalarField(lambda T, X: sin(2.0 * X) / sinh(2.0 * T), name="xi[17]"),
-            ScalarField(lambda T, X: 2.0 * arctan(cosh(T) / sinh(T) * tan(X)), name="theta[17]"),
-            lambda p: abs(math.sinh(2.0 * p.t)) > E and abs(math.cos(p.x)) > E,
-            "the line t = 0 and the lines x = pi/2 + k*pi",
-            Region(0.3, 0.8, -0.6, 0.6),
-            "(cos(2x) - cosh(2t))/(2 sinh(2t))", "sin(2x)/sinh(2t)",
-            "2*arctan(coth(t)*tan(x))")
-    raise AssertionError(case_id)
+    f, xi, theta, valid, singular, region, f_expr, xi_expr, theta_expr = _ROWS[case_id]
+    return CatalogEntry(
+        id=case_id, f=ScalarField(f, name=f"f[{case_id}]"),
+        xi=ScalarField(xi, name=f"xi[{case_id}]"),
+        theta=ScalarField(theta, name=f"theta[{case_id}]"), lam=None, valid=valid,
+        singular_description=singular, sample_region=region,
+        f_expr=f_expr, xi_expr=xi_expr, theta_expr=theta_expr)
 
 
 def get_case(case_id: int, lam: Optional[float] = None) -> CatalogEntry:

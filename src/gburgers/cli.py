@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 
 import click
+import numpy as np
 
 from . import catalog
 from .ansatz import RiccatiBranch, SolutionField, build_solution, rational_solution, xi_solution
 from .equivalence import EquivalenceElement, transform_solution
-from .jets import EvaluationError, Point, Region
+from .jets import EvaluationError, Point, Region, valid_mask
 from .numsolve import (BlowUpError, IbvpSpec, WellPosednessError, compare,
                        convergence_study, solve_ibvp)
 from .verify import (EmptySweepError, ReductionOperatorCoefficients,
@@ -92,18 +94,31 @@ def _solution(entry: catalog.CatalogEntry, kind: str, nu: float, c1: float,
     return rational_solution(c1, c2, entry.f)
 
 
+def _csv(ts, xs, us) -> str:
+    rows = (f"{_fmt(t)},{_fmt(x)},{_fmt(u)}" for t, x, u in zip(ts, xs, us))
+    return "\n".join(["t,x,u", *rows]) + "\n"
+
+
 def _grid_csv(sol: SolutionField, region: Region, n_t: int, n_x: int) -> str:
-    ts, xs = region.grid(n_t, n_x)
-    lines = ["t,x,u"]
-    for t in ts:
-        for x in xs:
-            p = Point(float(t), float(x))
-            if not sol.valid(p):
-                raise EvaluationError(
-                    f"solution is singular at ({_fmt(p.t)}, {_fmt(p.x)}); "
-                    f"choose a region inside the valid domain")
-            lines.append(f"{_fmt(p.t)},{_fmt(p.x)},{_fmt(sol.u.value(*p))}")
-    return "\n".join(lines) + "\n"
+    """CSV of u on the grid; the first point, in row-major order, where u is
+    invalid or fails to evaluate raises."""
+    p = region.points(n_t, n_x)
+    bad = np.flatnonzero(~valid_mask(sol.valid, p))
+    end = int(bad[0]) if bad.size else p.t.size
+    ts, xs = p.t[:end].tolist(), p.x[:end].tolist()
+    text = _csv(ts, xs, list(map(sol.u.value, ts, xs)))
+    if bad.size:
+        raise EvaluationError(
+            f"solution is singular at ({_fmt(p.t[end])}, {_fmt(p.x[end])}); "
+            f"choose a region inside the valid domain")
+    return text
+
+
+def _value_or_nan(u, t: float, x: float) -> float:
+    try:
+        return u.value(t, x)
+    except EvaluationError:
+        return math.nan
 
 
 _solution_opts = [
@@ -251,26 +266,20 @@ def cmd_transform(element, case_id, kind, nu, c1, c2, lam, region, res, recheck,
     sol = _solution(entry, kind, nu, c1, c2)
     tsol = transform_solution(g, sol)
 
-    ts, xs = reg.grid(n_t, n_x)
-    lines = ["t,x,u"]
-    skipped = 0
-    checked = 0
+    p = reg.points(n_t, n_x)
+    keep = valid_mask(tsol.valid, p)
+    T, X = p.t[keep], p.x[keep]
+    u = np.array([_value_or_nan(tsol.u, t, x) for t, x in zip(T.tolist(), X.tolist())])
+    ok = ~np.isnan(u)
     worst = 0.0
-    for t in ts:
-        for x in xs:
-            p = Point(float(t), float(x))
-            if not tsol.valid(p):
-                skipped += 1
-                continue
-            try:
-                u = tsol.u.value(*p)
-                if recheck:
-                    worst = max(worst, gbe_residual_scaled(tsol.u, tsol.f, p))
-            except EvaluationError:
-                skipped += 1
-                continue
-            checked += 1
-            lines.append(f"{_fmt(p.t)},{_fmt(p.x)},{_fmt(u)}")
+    if recheck and ok.any():
+        # a point whose residual jets fail is skipped, as one whose value fails
+        with np.errstate(all="ignore"):
+            r = gbe_residual_scaled(tsol.u, tsol.f, Point(T[ok], X[ok]))
+        ok[ok] = ~np.isnan(r)
+        worst = max([worst, *r[~np.isnan(r)].tolist()])
+    checked = int(ok.sum())
+    skipped = n_t * n_x - checked
     meta = {"element": g.to_dict(), "source": sol.provenance,
             "transformed_f": f"kappa^2/det * [{entry.f_expr}] pulled back through "
                              f"the inverse element",
@@ -279,7 +288,7 @@ def cmd_transform(element, case_id, kind, nu, c1, c2, lam, region, res, recheck,
         meta["recheck_max_scaled_residual"] = worst
         meta["recheck_pass"] = worst <= tol
     click.echo(_json_dumps(meta), err=True, nl=False)
-    _emit("\n".join(lines) + "\n", out)
+    _emit(_csv(T[ok].tolist(), X[ok].tolist(), u[ok].tolist()), out)
     if recheck and worst > tol:
         sys.exit(EXIT_VERIFY_FAIL)
 
@@ -315,11 +324,9 @@ def cmd_solve(case_id, kind, nu, c1, c2, lam, region, nx, dt_safety, out):
 @click.option("--region", required=True, help="t0,t1,x0,x1")
 @click.option("--resolutions", default="32,64,128", show_default=True)
 @click.option("--dt-safety", type=float, default=0.8, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @domain_errors_to_exit
-def cmd_convergence(case_id, kind, nu, c1, c2, lam, region, resolutions, dt_safety,
-                    jobs, out):
+def cmd_convergence(case_id, kind, nu, c1, c2, lam, region, resolutions, dt_safety, out):
     """Refinement study of the numerical error against an exact solution."""
     reg = _parse_region(region)
     try:
@@ -331,7 +338,7 @@ def cmd_convergence(case_id, kind, nu, c1, c2, lam, region, resolutions, dt_safe
     sol = _solution(entry, kind, nu, c1, c2)
     try:
         spec = IbvpSpec(f=entry.f, region=reg, n_x=res[0], dt_safety=dt_safety, exact=sol)
-        report = convergence_study(spec, res, jobs=jobs)
+        report = convergence_study(spec, res)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
     _emit(_json_dumps({"case": entry.id, "solution": sol.provenance,

@@ -24,8 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ansatz import SolutionField
-from .jets import Point, ScalarField, SingularPointError
+from .jets import Point, ScalarField, SingularPointError, refine
 
 _EPS_SINGULAR = 1e-13
 
@@ -103,20 +105,34 @@ def _from_raw(a, b, g, d, m0, m1, k) -> EquivalenceElement:
     return EquivalenceElement(a, b, g, d, m0, m1, k)
 
 
-def apply_point(g: EquivalenceElement, p: Point) -> Point:
-    t, x = p
+def _regular(g: EquivalenceElement, t):
+    """True (elementwise for an array) where gamma*t + delta stays off zero."""
+    return abs(g.gamma * t + g.delta) > _EPS_SINGULAR
+
+
+def _den(g: EquivalenceElement, t):
+    """gamma*t + delta: a float raises SingularPointError where it vanishes,
+    an array is NaN there."""
+    ok = _regular(g, t)
     den = g.gamma * t + g.delta
-    if abs(den) <= _EPS_SINGULAR:
+    if isinstance(ok, np.ndarray):
+        return np.where(ok, den, np.nan)
+    if not ok:
         raise SingularPointError(f"projective singularity gamma*t + delta = 0 at t = {t}")
+    return den
+
+
+def apply_point(g: EquivalenceElement, p: Point) -> Point:
+    """Image of p; a Point of arrays maps elementwise, NaN where singular."""
+    t, x = p
+    den = _den(g, t)
     return Point((g.alpha * t + g.beta) / den,
                  (g.kappa * x + g.mu1 * t + g.mu0) / den)
 
 
 def apply_u(g: EquivalenceElement, p: Point, u: float) -> float:
     t, x = p
-    den = g.gamma * t + g.delta
-    if abs(den) <= _EPS_SINGULAR:
-        raise SingularPointError(f"projective singularity gamma*t + delta = 0 at t = {t}")
+    den = _den(g, t)
     return (g.kappa * den * u - g.kappa * g.gamma * x
             + g.mu1 * g.delta - g.mu0 * g.gamma) / g.det
 
@@ -181,12 +197,8 @@ def transform_solution(g: EquivalenceElement, sol: SolutionField) -> SolutionFie
         return (g.kappa * den * u - g.kappa * g.gamma * x
                 + g.mu1 * g.delta - g.mu0 * g.gamma) / g.det
 
-    def valid(p: Point) -> bool:
-        try:
-            q = apply_point(ginv, p)
-        except SingularPointError:
-            return False
-        return sol.valid(q)
+    def valid(p: Point):
+        return refine(_regular(ginv, p.t), p, lambda q: sol.valid(apply_point(ginv, q)))
 
     return SolutionField(
         u=ScalarField(expr, name=f"pushforward({sol.u.name})"),

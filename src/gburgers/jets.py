@@ -80,12 +80,48 @@ class Region:
         return (np.linspace(self.t0, self.t1, n_t),
                 np.linspace(self.x0, self.x1, n_x))
 
+    def points(self, n_t: int, n_x: int) -> Point:
+        """The inclusive uniform n_t x n_x grid as one Point of arrays, in
+        row-major (t, x) order."""
+        ts, xs = self.grid(n_t, n_x)
+        return Point(np.repeat(ts, n_x), np.tile(xs, n_t))
+
     def shrink(self, margin: float) -> "Region":
         return Region(self.t0 + margin, self.t1 - margin,
                       self.x0 + margin, self.x1 - margin)
 
     def sample(self, rng: np.random.Generator) -> Point:
         return Point(rng.uniform(self.t0, self.t1), rng.uniform(self.x0, self.x1))
+
+
+def valid_mask(valid: Callable, p: Point) -> np.ndarray:
+    """``valid`` asked once at a Point of arrays: one bool per point, a lone
+    bool counting for every point.
+
+    A validity predicate takes a Point of floats and gives a bool, or a
+    Point of equal-length 1-D arrays and gives a bool array, each element
+    the answer at that point alone.  Numpy's overflow and invalid-value
+    warnings are silenced while it runs, as the excluded points cause them.
+    """
+    with np.errstate(all="ignore"):
+        return np.broadcast_to(valid(p), np.shape(p.t))
+
+
+def refine(ok, p: Point, pred: Callable):
+    """Elementwise ``ok and pred(p)``, for validity predicates.
+
+    ``pred``, itself a validity predicate, is asked only where ``ok``
+    holds: at a Point of floats, or once at a Point of arrays holding just
+    those points.  Gives a bool for a Point of floats and a bool array
+    otherwise.
+    """
+    if not isinstance(p.t, np.ndarray):
+        with np.errstate(all="ignore"):
+            return bool(ok) and bool(pred(p))
+    keep = np.array(np.broadcast_to(ok, p.t.shape))
+    if keep.any():
+        keep[keep] = valid_mask(pred, Point(p.t[keep], p.x[keep]))
+    return keep
 
 
 # Coefficient layout: c[n] is the Taylor coefficient of (t-t0)^i (x-x0)^j,
@@ -113,11 +149,12 @@ def _pointwise(fn, u, *args):
     Python float, NaN at the elements where it raises."""
     if not isinstance(u, np.ndarray):
         return fn(u, *args)
-    vals = u.tolist()
+    vals = u.ravel().tolist()
     try:
-        return np.fromiter(map(fn, vals, *map(repeat, args)), float, len(vals))
+        out = np.fromiter(map(fn, vals, *map(repeat, args)), float, len(vals))
     except _ELEMENT_ERRORS:
-        return np.array([_nan_on_error(fn, v, *args) for v in vals], dtype=float)
+        out = np.array([_nan_on_error(fn, v, *args) for v in vals], dtype=float)
+    return out.reshape(u.shape)
 
 
 def _ipow(u, n: int):
@@ -580,8 +617,9 @@ class ScalarField:
                 f"non-finite value of field {self.name or '<anonymous>'} at ({t}, {x})")
         return r
 
-    def sample(self, t: float, xs: np.ndarray) -> np.ndarray:
-        """Vectorized values at fixed t over an array of x."""
+    def sample(self, t, xs: np.ndarray) -> np.ndarray:
+        """Vectorized values over an array of x, at a fixed t or at an array
+        of t of the same shape."""
         r = self._call(t, xs)
         if isinstance(r, np.ndarray):
             return r.astype(float)
@@ -672,8 +710,9 @@ class Antiderivative:
     The value is computed by adaptive quadrature; all derivatives come from
     the closed form of the integrand (F' = g, F'' = g', F''' = g''), so
     jets through an Antiderivative stay exact apart from the quadrature
-    tolerance on the value itself.  An array jet takes one quadrature per
-    element, memoised by abscissa, and is NaN where the quadrature fails.
+    tolerance on the value itself.  An array or an array jet takes one
+    quadrature per element, memoised by abscissa, and is NaN where the
+    quadrature fails.
     """
 
     def __init__(self, integrand: Callable, w0: float, abs_tol: float = 1e-12):
@@ -686,6 +725,10 @@ class Antiderivative:
         hit = self._cache.get(w)
         if hit is not None:
             return hit
+        if not math.isfinite(w):
+            # quad gives 0.0 for a NaN bound and a finite number for a divergent
+            # infinite range, neither of them the integral
+            raise EvaluationError(f"non-finite abscissa {w} for the antiderivative")
         from scipy.integrate import quad  # imported on first use: it is slow to import
         try:
             val, _ = quad(self.integrand, self.w0, w,
@@ -706,5 +749,5 @@ class Antiderivative:
                 gj = Jet3.constant(float(gj))
             return w.compose(_pointwise(self._value, w0v), gj.v, gj.d_t, gj.d_tt)
         if isinstance(w, np.ndarray):
-            return np.array([self._value(float(wi)) for wi in np.ravel(w)]).reshape(np.shape(w))
+            return _pointwise(self._value, w.astype(float))
         return self._value(float(w))

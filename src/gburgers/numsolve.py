@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ansatz import SolutionField
-from .jets import EvaluationError, Point, Region, ScalarField
+from .jets import EvaluationError, Point, Region, ScalarField, SingularPointError
 
 #: number of time samples used to probe f (and u data) before stepping
 _PROBE_NT = 65
@@ -75,7 +75,7 @@ class IbvpSpec:
 
     def initial_values(self, xs: np.ndarray) -> np.ndarray:
         if self.exact is not None:
-            return self.exact.u.sample(self.region.t0, xs)
+            return _exact_sample(self.exact, self.region.t0, xs)
         return np.asarray(self.initial(xs), dtype=float)
 
     def boundary_values(self, t: float) -> tuple[float, float]:
@@ -83,6 +83,15 @@ class IbvpSpec:
             return (self.exact.u.value(t, self.region.x0),
                     self.exact.u.value(t, self.region.x1))
         return (float(self.left(t)), float(self.right(t)))
+
+
+def _exact_sample(exact: SolutionField, t: float, xs: np.ndarray) -> np.ndarray:
+    """The exact solution at time t on the mesh.  A pole of phi is NaN on
+    arrays, and max/min would drop it silently, so a non-finite value raises."""
+    vals = exact.u.sample(t, xs)
+    if not np.all(np.isfinite(vals)):
+        raise SingularPointError(f"exact solution is singular on the mesh at t = {t}")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -142,7 +151,7 @@ def solve_ibvp(spec: IbvpSpec) -> NumericSolution:
         umax = max(umax, abs(bl), abs(br))
     if spec.exact is not None:
         for t in np.linspace(region.t0, region.t1, 9):
-            umax = max(umax, float(np.max(np.abs(spec.exact.u.sample(float(t), xs)))))
+            umax = max(umax, float(np.max(np.abs(_exact_sample(spec.exact, float(t), xs)))))
 
     span = region.t1 - region.t0
     dt_bound = spec.dt_safety * min(dx * dx / (2.0 * fabs), dx / (1.0 + umax))
@@ -197,11 +206,7 @@ def solve_ibvp(spec: IbvpSpec) -> NumericSolution:
 
 def compare(num: NumericSolution, exact: SolutionField) -> tuple[float, float]:
     """(max, RMS) error against the exact solution at the final time."""
-    t1 = float(num.ts[-1])
-    ex = exact.u.sample(t1, num.xs)
-    if not np.all(np.isfinite(ex)):
-        raise EvaluationError(f"exact solution is singular on the mesh at t = {t1}")
-    diff = num.values[-1] - ex
+    diff = num.values[-1] - _exact_sample(exact, float(num.ts[-1]), num.xs)
     return (float(np.max(np.abs(diff))), float(np.sqrt(np.mean(diff * diff))))
 
 
@@ -231,16 +236,13 @@ class ConvergenceReport:
 _DEGENERATE_FLOOR = 1e-12
 
 
-def convergence_study(spec_template: IbvpSpec, resolutions: Sequence[int],
-                      jobs: int = 1) -> ConvergenceReport:
+def convergence_study(spec_template: IbvpSpec,
+                      resolutions: Sequence[int]) -> ConvergenceReport:
     """Refinement study in n_x; least-squares slope of log(max_err) vs log(dx).
 
     Requires at least three resolutions, each at least doubling the
     previous.  A non-monotone error sequence is reported with a warning
     flag rather than raised; errors at roundoff set the degenerate flag.
-    With ``jobs`` > 1 the per-resolution solves run concurrently (they
-    share no state); results are keyed by resolution, so the report does
-    not depend on the worker count.
     """
     res = tuple(int(r) for r in resolutions)
     if len(res) < 3:
@@ -251,16 +253,8 @@ def convergence_study(spec_template: IbvpSpec, resolutions: Sequence[int],
     if spec_template.exact is None:
         raise ValueError("convergence studies need an exact solution to compare against")
 
-    def one(n: int) -> tuple[float, float]:
-        num = solve_ibvp(replace(spec_template, n_x=n))
-        return compare(num, spec_template.exact)
-
-    if jobs <= 1:
-        errors = [one(n) for n in res]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            errors = list(pool.map(one, res))
+    errors = [compare(solve_ibvp(replace(spec_template, n_x=n)), spec_template.exact)
+              for n in res]
 
     span = spec_template.region.x1 - spec_template.region.x0
     dxs = [span / n for n in res]

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .jets import EvaluationError, Jet3, Point, Region, ScalarField
+from .jets import EvaluationError, Jet3, Point, Region, ScalarField, valid_mask
 
 #: f must stay this far from zero before 1/f-terms are formed
 EPS_COEFF = 1e-13
@@ -365,24 +365,28 @@ def sweep(residual_fn: Callable[[Point], float], region: Region,
           scale_used: str = "relative") -> SweepReport:
     """Max |residual_fn| over the inclusive uniform n_t x n_x grid.
 
-    ``valid`` is asked point by point.  ``residual_fn`` is then called once,
-    on a :class:`Point` whose t and x are 1-D float arrays holding the valid
-    grid points in row-major (t, x) order, and must return one residual per
-    point (a float counts for every point).  The residuals of this module,
-    fed fields written against :mod:`gburgers.jets`, do so, and each element
-    is bit-identical to a call at that point alone.  Invalid points and
-    non-finite residuals are skipped and counted; so is every point if
-    ``residual_fn`` raises :class:`EvaluationError` for the whole grid.  The
-    reported argmax is the first maximum in row-major order, that is the
+    ``valid`` is a validity predicate (see :func:`gburgers.jets.valid_mask`)
+    and is asked once, at the whole grid as a :class:`Point` of 1-D arrays
+    in row-major (t, x) order; it returns one bool per point, or a lone
+    bool for every point.  ``residual_fn`` is then called once, on a
+    :class:`Point` holding the valid grid points in the same order, and
+    must return one residual per point (a float counts for every point).
+    The residuals of this module, fed fields written against
+    :mod:`gburgers.jets`, do so, and each element is bit-identical to a
+    call at that point alone.  Invalid points and non-finite residuals are
+    skipped and counted; so is every point if ``residual_fn`` raises
+    :class:`EvaluationError` for the whole grid.  Poles of the Riccati
+    branches are NaN on arrays, so a branch swept with the catalog
+    predicate alone skips them as non-finite residuals.  The reported
+    argmax is the first maximum in row-major order, that is the
     lexicographically smallest (t, x) among ties.
     """
     if n_t < 2 or n_x < 2:
         raise ValueError("grid must be at least 2x2")
-    ts, xs = region.grid(n_t, n_x)
-    T = np.repeat(ts, n_x)
-    X = np.tile(xs, n_t)
+    grid = region.points(n_t, n_x)
+    T, X = grid
     if valid is not None:
-        keep = np.fromiter(map(valid, map(Point, T.tolist(), X.tolist())), bool, T.size)
+        keep = valid_mask(valid, grid)
         T, X = T[keep], X[keep]
     r = np.full(T.size, np.nan)
     if T.size:

@@ -122,6 +122,27 @@ def test_array_jet_matches_each_point():
                 assert got == want, (b, fn.__name__, v)
 
 
+def test_plain_array_poles_are_nan():
+    # a plain array is split by sign like an array jet; a pole is NaN there,
+    # where a float raises
+    values = np.array([-400.0, -1.0, -0.5, 0.0, 0.5, 1.0, 400.0, math.pi / 2, math.nan])
+    branches = [RiccatiBranch(-1.0, 1.0, 1.0), RiccatiBranch(-1.0, 1.0, -1.0),
+                RiccatiBranch(0.0, 1.0, 1.0), RiccatiBranch(1.0, 1.0, 0.0)]
+    for b in branches:
+        for fn in (phi, phi_prime):
+            out = fn(b, values)
+            for w, v in zip(values.tolist(), out.tolist()):
+                try:
+                    want = fn(b, w)
+                except SingularPointError:
+                    want = math.nan
+                if math.isnan(want):
+                    assert math.isnan(v), (b, fn.__name__, w)
+                else:
+                    assert v == pytest.approx(want, rel=1e-14), (b, fn.__name__, w)
+            assert np.isnan(out).sum() >= 1
+
+
 def test_constant_ratio_is_the_only_essential_parameter():
     rng = np.random.default_rng(13)
     for _ in range(200):

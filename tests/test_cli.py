@@ -160,6 +160,14 @@ class TestSolveAndConvergence:
         assert res.exit_code == 3
         assert "strictly negative" in res.output
 
+    def test_pole_of_the_exact_solution_exits_3(self, runner):
+        # theta = x of case 2 puts the pole of this branch on the mesh line x = 1/2
+        pole = ["--case", "2", "--nu", "0", "--c1=-0.5", "--c2", "1", "--region", "0,0.2,-1,1"]
+        for args in (["solve", *pole, "--nx", "16"],
+                     ["convergence", *pole, "--resolutions", "16,32,64"]):
+            res = runner.invoke(cli, args)
+            assert res.exit_code == 3 and res.stderr.startswith("error: "), args
+
     def test_convergence_table(self, runner):
         res = run(runner, "convergence", "--case", "2", "--nu", "-1", "--region",
                   "0,0.2,-1,1", "--resolutions", "16,32,64")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -73,6 +74,14 @@ class TestPointAction:
             apply_point(g, Point(0.0, 1.0))
         with pytest.raises(SingularPointError):
             apply_u(g, Point(0.0, 1.0), 1.0)
+
+    def test_array_points_map_elementwise_and_nan_where_singular(self):
+        g = EquivalenceElement(1.0, 0.5, 1.0, -1.0, mu0=0.3, mu1=-0.2, kappa=2.0)
+        ts, xs = [0.0, 1.0, 2.0, 0.5], [1.0, -1.0, 0.5, 3.0]  # gamma*t + delta = 0 at t = 1
+        q = apply_point(g, Point(np.array(ts), np.array(xs)))
+        assert math.isnan(q.t[1]) and math.isnan(q.x[1])
+        for i in (0, 2, 3):
+            assert (q.t[i], q.x[i]) == tuple(apply_point(g, Point(ts[i], xs[i])))
 
 
 class TestQuadrupleScalingInvariance:

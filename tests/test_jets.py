@@ -218,12 +218,35 @@ def test_antiderivative_quadrature_failure():
         f.value(0.0, -1.0)  # integrand pole inside [w0, w]
 
 
+def test_antiderivative_on_an_array_fails_only_at_the_bad_abscissa():
+    # the pole of 1/w lies between w0 = 1 and -1; the other abscissae are fine
+    A = Antiderivative(lambda w: 1.0 / w, w0=1.0)
+    got = A(np.array([2.0, -1.0, 0.5]))
+    assert math.isnan(got[1])
+    fresh = Antiderivative(lambda w: 1.0 / w, w0=1.0)
+    assert [got[0], got[2]] == [fresh(2.0), fresh(0.5)]
+    with pytest.raises(EvaluationError):
+        fresh(-1.0)
+
+
+def test_antiderivative_rejects_a_non_finite_abscissa():
+    # scipy's quad gives 0.0 for a NaN bound and a finite number for [w0, inf)
+    A = Antiderivative(lambda w: 1.0 / w, w0=1.0)
+    for w in (math.nan, math.inf):
+        with pytest.raises(EvaluationError):
+            A(w)
+    assert np.isnan(A(np.array([math.nan, math.inf]))).all()
+
+
 def test_region_helpers():
     r = Region.parse("0,1,-2,2")
     assert r == Region(0.0, 1.0, -2.0, 2.0)
     ts, xs = r.grid(3, 5)
     assert ts.tolist() == [0.0, 0.5, 1.0]
     assert len(xs) == 5
+    T, X = r.points(3, 5)  # row-major: t outer, x inner
+    assert T.tolist() == [t for t in ts.tolist() for _ in range(5)]
+    assert X.tolist() == xs.tolist() * 3
     assert r.shrink(0.5) == Region(0.5, 0.5, -1.5, 1.5)
     with pytest.raises(ValueError):
         Region.parse("0,1,2")

@@ -5,7 +5,7 @@ import pytest
 
 from gburgers.ansatz import RiccatiBranch, SolutionField, build_solution, xi_solution
 from gburgers.catalog import get_case
-from gburgers.jets import Region, ScalarField
+from gburgers.jets import EvaluationError, Region, ScalarField, SingularPointError
 from gburgers.numsolve import (BlowUpError, IbvpSpec, WellPosednessError, compare,
                                convergence_study, solve_ibvp)
 
@@ -117,6 +117,35 @@ class TestSolve:
         assert float(first[0]) == 0.0 and float(first[1]) == -1.0
 
 
+class TestManufacturedDataOnAPole:
+    """A pole of the exact solution on the mesh raises before any step, so
+    that a NaN of the data cannot drop out of max(umax, .) or the step bound."""
+
+    def test_pole_on_the_initial_line(self):
+        # case 2, nu = 0, (c1, c2) = (-1/2, 1): theta = x puts the pole on the
+        # mesh line x = 1/2 at every time, the initial one included
+        entry = get_case(2)
+        sol = build_solution(entry, RiccatiBranch(0.0, -0.5, 1.0))
+        spec = IbvpSpec(f=entry.f, region=Region(0.0, 0.2, -1.0, 1.0), n_x=16, exact=sol)
+        with pytest.raises(SingularPointError):
+            spec.initial_values(np.linspace(-1.0, 1.0, 17))
+        with pytest.raises(SingularPointError):
+            solve_ibvp(spec)
+        with pytest.raises(EvaluationError):
+            convergence_study(spec, [16, 32, 64])
+
+    def test_pole_at_an_interior_probe_time(self):
+        # case 4, nu = 0, (c1, c2) = (-3/2, 1): theta = e^x + t meets the pole
+        # at (t, x) = (1/2, 0), one of the nine probe times, and at no point of
+        # the initial line or the boundaries
+        entry = get_case(4)
+        sol = build_solution(entry, RiccatiBranch(0.0, -1.5, 1.0))
+        spec = IbvpSpec(f=entry.f, region=Region(0.0, 1.0, -1.0, 1.0), n_x=16, exact=sol)
+        assert np.all(np.isfinite(spec.initial_values(np.linspace(-1.0, 1.0, 17))))
+        with pytest.raises(SingularPointError):
+            solve_ibvp(spec)
+
+
 class TestCompare:
     def test_compare_zero_to_zero(self):
         spec = IbvpSpec(f=F_MINUS_ONE, region=Region(0.0, 0.1, -1.0, 1.0), n_x=16,
@@ -180,9 +209,3 @@ class TestConvergence:
         d = rep.to_dict()
         assert d["resolutions"] == [16, 32, 64]
         assert len(d["max_errors"]) == 3
-
-    def test_jobs_do_not_change_the_report(self):
-        spec, _ = tanh_front_spec(n_x=16, region=Region(0.0, 0.1, -1.0, 1.0))
-        a = convergence_study(spec, [16, 32, 64], jobs=1)
-        b = convergence_study(spec, [16, 32, 64], jobs=3)
-        assert a == b

@@ -25,9 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .jets import (Antiderivative, Point, Region, ScalarField,
                    SingularPointError, arctan, cos, cosh, coth, exp, log_abs,
-                   refine, sin, sinh, tan, tanh)
+                   refine, sin, sinh, tan, tanh, valid_mask)
 
 #: absolute (not scale-aware) margin used by all validity predicates to keep
 #: denominators away from zero
@@ -63,6 +65,9 @@ class CatalogEntry:
     xi_expr: str
     theta_expr: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "valid", _overflow_safe(self.valid))
+
     def to_dict(self) -> dict:
         return {
             "id": self.id,
@@ -71,6 +76,18 @@ class CatalogEntry:
             "theta_expr": self.theta_expr,
             "singular_description": self.singular_description,
         }
+
+
+def _overflow_safe(valid: Callable) -> Callable:
+    """``valid``, answering through the array path at a Point of floats
+    where it raises ArithmeticError: math overflows far outside a region
+    (sinh of a large x), where numpy gives inf."""
+    def guarded(p: Point):
+        try:
+            return valid(p)
+        except ArithmeticError:
+            return bool(valid_mask(valid, Point(np.array([p.t]), np.array([p.x])))[0])
+    return guarded
 
 
 def _always_valid(p: Point) -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 from . import catalog
 from .ansatz import RiccatiBranch, SolutionField, build_solution, rational_solution, xi_solution
 from .equivalence import EquivalenceElement, transform_solution
-from .jets import EvaluationError, Point, Region, valid_mask
+from .jets import EvaluationError, Point, Region, csv_text, format_float, valid_mask
 from .numsolve import (BlowUpError, IbvpSpec, WellPosednessError, compare,
                        convergence_study, solve_ibvp)
 from .verify import (EmptySweepError, ReductionOperatorCoefficients,
@@ -31,10 +31,6 @@ from .verify import (EmptySweepError, ReductionOperatorCoefficients,
 
 EXIT_VERIFY_FAIL = 1
 EXIT_DOMAIN = 3
-
-
-def _fmt(v: float) -> str:
-    return f"{v + 0.0:.17g}"  # adding 0.0 maps -0.0 to +0.0
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -94,11 +90,6 @@ def _solution(entry: catalog.CatalogEntry, kind: str, nu: float, c1: float,
     return rational_solution(c1, c2, entry.f)
 
 
-def _csv(ts, xs, us) -> str:
-    rows = (f"{_fmt(t)},{_fmt(x)},{_fmt(u)}" for t, x, u in zip(ts, xs, us))
-    return "\n".join(["t,x,u", *rows]) + "\n"
-
-
 def _grid_csv(sol: SolutionField, region: Region, n_t: int, n_x: int) -> str:
     """CSV of u on the grid; the first point, in row-major order, where u is
     invalid or fails to evaluate raises."""
@@ -106,10 +97,10 @@ def _grid_csv(sol: SolutionField, region: Region, n_t: int, n_x: int) -> str:
     bad = np.flatnonzero(~valid_mask(sol.valid, p))
     end = int(bad[0]) if bad.size else p.t.size
     ts, xs = p.t[:end].tolist(), p.x[:end].tolist()
-    text = _csv(ts, xs, list(map(sol.u.value, ts, xs)))
+    text = csv_text(ts, xs, list(map(sol.u.value, ts, xs)))
     if bad.size:
         raise EvaluationError(
-            f"solution is singular at ({_fmt(p.t[end])}, {_fmt(p.x[end])}); "
+            f"solution is singular at ({format_float(p.t[end])}, {format_float(p.x[end])}); "
             f"choose a region inside the valid domain")
     return text
 
@@ -188,13 +179,13 @@ def cmd_eval(case_id, kind, nu, c1, c2, lam, region, res, fmt, out):
     n_t, n_x = _parse_res(res)
     entry = catalog.get_case(case_id, lam)
     sol = _solution(entry, kind, nu, c1, c2)
-    csv_text = _grid_csv(sol, reg, n_t, n_x)
+    text = _grid_csv(sol, reg, n_t, n_x)
     if fmt == "json":
         rows = [dict(zip(("t", "x", "u"), map(float, line.split(","))))
-                for line in csv_text.splitlines()[1:]]
+                for line in text.splitlines()[1:]]
         _emit(_json_dumps({"provenance": sol.provenance, "rows": rows}), out)
     else:
-        _emit(csv_text, out)
+        _emit(text, out)
 
 
 _WHICH_CHOICES = ("gbe", "pfde", "potential", "reduced", "determining")
@@ -288,7 +279,7 @@ def cmd_transform(element, case_id, kind, nu, c1, c2, lam, region, res, recheck,
         meta["recheck_max_scaled_residual"] = worst
         meta["recheck_pass"] = worst <= tol
     click.echo(_json_dumps(meta), err=True, nl=False)
-    _emit(_csv(T[ok].tolist(), X[ok].tolist(), u[ok].tolist()), out)
+    _emit(csv_text(T[ok].tolist(), X[ok].tolist(), u[ok].tolist()), out)
     if recheck and worst > tol:
         sys.exit(EXIT_VERIFY_FAIL)
 

@@ -122,19 +122,29 @@ def _den(g: EquivalenceElement, t):
     return den
 
 
+def _point_action(g: EquivalenceElement, t, x, den=None):
+    """(t~, x~) of (t, x), which may be floats, arrays or jets; ``den`` is
+    gamma*t + delta, formed unchecked when not given."""
+    if den is None:
+        den = g.gamma * t + g.delta
+    return (g.alpha * t + g.beta) / den, (g.kappa * x + g.mu1 * t + g.mu0) / den
+
+
+def _u_action(g: EquivalenceElement, t, x, u, den=None):
+    """u~ of the value u at (t, x); ``den`` as for :func:`_point_action`."""
+    if den is None:
+        den = g.gamma * t + g.delta
+    return (g.kappa * den * u - g.kappa * g.gamma * x
+            + g.mu1 * g.delta - g.mu0 * g.gamma) / g.det
+
+
 def apply_point(g: EquivalenceElement, p: Point) -> Point:
     """Image of p; a Point of arrays maps elementwise, NaN where singular."""
-    t, x = p
-    den = _den(g, t)
-    return Point((g.alpha * t + g.beta) / den,
-                 (g.kappa * x + g.mu1 * t + g.mu0) / den)
+    return Point(*_point_action(g, p.t, p.x, _den(g, p.t)))
 
 
 def apply_u(g: EquivalenceElement, p: Point, u: float) -> float:
-    t, x = p
-    den = _den(g, t)
-    return (g.kappa * den * u - g.kappa * g.gamma * x
-            + g.mu1 * g.delta - g.mu0 * g.gamma) / g.det
+    return _u_action(g, p.t, p.x, u, _den(g, p.t))
 
 
 def compose(g1: EquivalenceElement, g2: EquivalenceElement) -> EquivalenceElement:
@@ -165,13 +175,6 @@ def inverse(g: EquivalenceElement) -> EquivalenceElement:
     return _from_raw(ai, bi, gi, di, m0i, m1i, ki)
 
 
-def _preimage_exprs(ginv: EquivalenceElement, T, X):
-    den = ginv.gamma * T + ginv.delta
-    t = (ginv.alpha * T + ginv.beta) / den
-    x = (ginv.kappa * X + ginv.mu1 * T + ginv.mu0) / den
-    return t, x
-
-
 def transform_f(g: EquivalenceElement, f: ScalarField) -> ScalarField:
     """The arbitrary element of the transformed equation,
     f~(t~, x~) = kappa^2/D * f(t, x) with (t, x) the preimage of (t~, x~)."""
@@ -179,8 +182,7 @@ def transform_f(g: EquivalenceElement, f: ScalarField) -> ScalarField:
     scale = g.kappa * g.kappa / g.det
 
     def expr(T, X):
-        t, x = _preimage_exprs(ginv, T, X)
-        return scale * f.expr(t, x)
+        return scale * f.expr(*_point_action(ginv, T, X))
 
     return ScalarField(expr, name=f"pushforward({f.name})")
 
@@ -191,11 +193,8 @@ def transform_solution(g: EquivalenceElement, sol: SolutionField) -> SolutionFie
     ginv = inverse(g)
 
     def expr(T, X):
-        t, x = _preimage_exprs(ginv, T, X)
-        u = sol.u.expr(t, x)
-        den = g.gamma * t + g.delta
-        return (g.kappa * den * u - g.kappa * g.gamma * x
-                + g.mu1 * g.delta - g.mu0 * g.gamma) / g.det
+        t, x = _point_action(ginv, T, X)
+        return _u_action(g, t, x, sol.u.expr(t, x))
 
     def valid(p: Point):
         return refine(_regular(ginv, p.t), p, lambda q: sol.valid(apply_point(ginv, q)))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partialmethod
 from itertools import repeat
 from typing import Callable, NamedTuple
 
@@ -92,6 +93,19 @@ class Region:
 
     def sample(self, rng: np.random.Generator) -> Point:
         return Point(rng.uniform(self.t0, self.t1), rng.uniform(self.x0, self.x1))
+
+
+def format_float(v: float) -> str:
+    """v to 17 significant digits, which read back as the same float; -0.0 as 0."""
+    return f"{v + 0.0:.17g}"
+
+
+def csv_text(ts, xs, us) -> str:
+    """CSV with the header t,x,u and one row per point, floats written by
+    :func:`format_float`."""
+    rows = (f"{format_float(t)},{format_float(x)},{format_float(u)}"
+            for t, x, u in zip(ts, xs, us))
+    return "\n".join(["t,x,u", *rows]) + "\n"
 
 
 def valid_mask(valid: Callable, p: Point) -> np.ndarray:
@@ -419,8 +433,9 @@ class Jet3:
             g1 * w9 + h2 * s9 + h3 * (0.0 + s5 * w2),
         ])
 
-    def deriv_t(self) -> "Jet3":
-        """Jet of the t-derivative field.
+    def _shift(self, axis: int) -> "Jet3":
+        """Jet of the derivative field along ``axis``: ``deriv_t`` (axis 0)
+        and ``deriv_x`` (axis 1).
 
         Exact through total order 2.  The order-3 entries would need fourth
         derivatives of the parent, which a jet does not carry, so they are
@@ -431,130 +446,97 @@ class Jet3:
         out = [math.nan] * 10
         for n, (i, j) in enumerate(_IDX):
             if i + j <= 2:
-                out[n] = (i + 1) * self.c[_POS[(i + 1, j)]]
+                up = (i + 1, j) if axis == 0 else (i, j + 1)
+                out[n] = up[axis] * self.c[_POS[up]]
         return Jet3(out)
 
-    def deriv_x(self) -> "Jet3":
-        """Jet of the x-derivative field; order-3 entries are NaN (see
-        :meth:`deriv_t`)."""
-        out = [math.nan] * 10
-        for n, (i, j) in enumerate(_IDX):
-            if i + j <= 2:
-                out[n] = (j + 1) * self.c[_POS[(i, j + 1)]]
-        return Jet3(out)
+    deriv_t = partialmethod(_shift, 0)
+    deriv_x = partialmethod(_shift, 1)
 
 
 # -- elementary functions (float / ndarray / Jet3) --------------------------
 #
-# On a jet, each function takes g(u) (and the derivatives that need more
-# than arithmetic) at the jet's value u through _pointwise, so an array jet
-# gets math's values element by element.
+# Each function is one row of _ELEMENTARY.  Its jet rule maps the value u
+# of a jet to the derivatives (g, g', g'', g''') of g at u, and takes every
+# value of g through _pointwise, so an array jet gets math's values element
+# by element.
 
-def _dispatch(w, jet_fn, np_fn, math_fn):
-    if isinstance(w, Jet3):
-        return jet_fn(w)
-    if isinstance(w, np.ndarray):
-        return np_fn(w)
-    return math_fn(w)
-
-
-def exp(w):
-    def on_jet(j):
-        e = _pointwise(math.exp, j.c[0])
-        return j.compose(e, e, e, e)
-    return _dispatch(w, on_jet, np.exp, math.exp)
+def _log_abs_rule(u):
+    # the derivatives of ln|g| are g'/g regardless of sign
+    u = _fail_where(u == 0.0, u, "log of zero in jet evaluation")
+    iu = 1.0 / u
+    return _pointwise(math.log, abs(u)), iu, -iu * iu, 2.0 * _ipow(iu, 3)
 
 
-def log_abs(w):
-    """ln|w|; the derivatives of ln|g| are g'/g regardless of sign."""
-    def on_jet(j):
-        u = j.c[0]
-        u = _fail_where(u == 0.0, u, "log of zero in jet evaluation")
-        iu = 1.0 / u
-        return j.compose(_pointwise(math.log, abs(u)), iu, -iu * iu, 2.0 * _ipow(iu, 3))
-    def on_float(u):
-        if u == 0.0:
-            raise EvaluationError("log of zero")
-        return math.log(abs(u))
-    return _dispatch(w, on_jet, lambda a: np.log(np.abs(a)), on_float)
+def _sqrt_rule(u):
+    u = _fail_where(u <= 0.0, u, "sqrt of non-positive value in jet evaluation")
+    s = _pointwise(math.sqrt, u)
+    return s, 0.5 / s, -0.25 / (u * s), 0.375 / (u * u * s)
 
 
-def sqrt(w):
-    def on_jet(j):
-        u = j.c[0]
-        u = _fail_where(u <= 0.0, u, "sqrt of non-positive value in jet evaluation")
-        s = _pointwise(math.sqrt, u)
-        return j.compose(s, 0.5 / s, -0.25 / (u * s), 0.375 / (u * u * s))
-    return _dispatch(w, on_jet, np.sqrt, math.sqrt)
+def _linear_rule(g, dg, sign: float):
+    """(g, g', g'', g''') of a function with g'' = sign*g, from g and g'."""
+    return (g, dg, -g, -dg) if sign < 0.0 else (g, dg, g, dg)
 
 
-def sin(w):
-    def on_jet(j):
-        s, c = _pointwise(math.sin, j.c[0]), _pointwise(math.cos, j.c[0])
-        return j.compose(s, c, -s, -c)
-    return _dispatch(w, on_jet, np.sin, math.sin)
+def _riccati_rule(v, sign: float):
+    """(g, g', g'', g''') at g = v of a function with g' = 1 + sign*g^2:
+    tan for sign 1, tanh and coth for sign -1."""
+    q = 1.0 + sign * v * v
+    return v, q, 2.0 * sign * v * q, q * (6.0 * v * v + 2.0 * sign)
 
 
-def cos(w):
-    def on_jet(j):
-        s, c = _pointwise(math.sin, j.c[0]), _pointwise(math.cos, j.c[0])
-        return j.compose(c, -s, -c, s)
-    return _dispatch(w, on_jet, np.cos, math.cos)
+def _coth(u, message: str = "coth at zero"):
+    """coth u through math, elementwise for an array; where sinh u is zero,
+    a float raises EvaluationError(message) and an array element is NaN."""
+    s = _pointwise(math.sinh, u)
+    return _pointwise(math.cosh, u) / _fail_where(s == 0.0, s, message)
 
 
-def tan(w):
-    def on_jet(j):
-        v = _pointwise(math.tan, j.c[0])
-        q = 1.0 + v * v
-        return j.compose(v, q, 2.0 * v * q, q * (2.0 + 6.0 * v * v))
-    return _dispatch(w, on_jet, np.tan, math.tan)
+def _arctan_rule(u):
+    q = 1.0 / (1.0 + u * u)
+    return (_pointwise(math.atan, u), q, -2.0 * u * q * q,
+            (6.0 * u * u - 2.0) * _ipow(q, 3))
 
 
-def sinh(w):
-    def on_jet(j):
-        s, c = _pointwise(math.sinh, j.c[0]), _pointwise(math.cosh, j.c[0])
-        return j.compose(s, c, s, c)
-    return _dispatch(w, on_jet, np.sinh, math.sinh)
+#: name -> (function on a float, function on a plain array, jet rule)
+_ELEMENTARY = {
+    "exp": (math.exp, np.exp, lambda u: (_pointwise(math.exp, u),) * 4),
+    "log_abs": (lambda u: math.log(abs(_fail_where(u == 0.0, u, "log of zero"))),
+                lambda a: np.log(np.abs(a)), _log_abs_rule),
+    "sqrt": (math.sqrt, np.sqrt, _sqrt_rule),
+    "sin": (math.sin, np.sin, lambda u: _linear_rule(
+        _pointwise(math.sin, u), _pointwise(math.cos, u), -1.0)),
+    "cos": (math.cos, np.cos, lambda u: _linear_rule(
+        _pointwise(math.cos, u), -_pointwise(math.sin, u), -1.0)),
+    "tan": (math.tan, np.tan, lambda u: _riccati_rule(_pointwise(math.tan, u), 1.0)),
+    "sinh": (math.sinh, np.sinh, lambda u: _linear_rule(
+        _pointwise(math.sinh, u), _pointwise(math.cosh, u), 1.0)),
+    "cosh": (math.cosh, np.cosh, lambda u: _linear_rule(
+        _pointwise(math.cosh, u), _pointwise(math.sinh, u), 1.0)),
+    "tanh": (math.tanh, np.tanh, lambda u: _riccati_rule(_pointwise(math.tanh, u), -1.0)),
+    "coth": (_coth, lambda a: np.cosh(a) / np.sinh(a),
+             lambda u: _riccati_rule(_coth(u, "coth at zero in jet evaluation"), -1.0)),
+    "arctan": (math.atan, np.arctan, _arctan_rule),
+}
 
 
-def cosh(w):
-    def on_jet(j):
-        s, c = _pointwise(math.sinh, j.c[0]), _pointwise(math.cosh, j.c[0])
-        return j.compose(c, s, c, s)
-    return _dispatch(w, on_jet, np.cosh, math.cosh)
+def _elementary(name: str) -> Callable:
+    """The function of a row of _ELEMENTARY, on floats, plain arrays and jets."""
+    on_float, on_array, jet_rule = _ELEMENTARY[name]
+
+    def fn(w):
+        if isinstance(w, Jet3):
+            return w.compose(*jet_rule(w.c[0]))
+        if isinstance(w, np.ndarray):
+            return on_array(w)
+        return on_float(w)
+
+    fn.__name__ = fn.__qualname__ = name
+    return fn
 
 
-def tanh(w):
-    def on_jet(j):
-        v = _pointwise(math.tanh, j.c[0])
-        q = 1.0 - v * v
-        return j.compose(v, q, -2.0 * v * q, q * (6.0 * v * v - 2.0))
-    return _dispatch(w, on_jet, np.tanh, math.tanh)
-
-
-def coth(w):
-    # coth' = 1 - coth^2, same recursion as tanh.
-    def on_jet(j):
-        s = _pointwise(math.sinh, j.c[0])
-        s = _fail_where(s == 0.0, s, "coth at zero in jet evaluation")
-        v = _pointwise(math.cosh, j.c[0]) / s
-        q = 1.0 - v * v
-        return j.compose(v, q, -2.0 * v * q, q * (6.0 * v * v - 2.0))
-    def on_float(u):
-        s = math.sinh(u)
-        if s == 0.0:
-            raise EvaluationError("coth at zero")
-        return math.cosh(u) / s
-    return _dispatch(w, on_jet, lambda a: np.cosh(a) / np.sinh(a), on_float)
-
-
-def arctan(w):
-    def on_jet(j):
-        u = j.c[0]
-        q = 1.0 / (1.0 + u * u)
-        return j.compose(_pointwise(math.atan, u), q, -2.0 * u * q * q,
-                         (6.0 * u * u - 2.0) * _ipow(q, 3))
-    return _dispatch(w, on_jet, np.arctan, math.atan)
+exp, log_abs, sqrt, sin, cos, tan, sinh, cosh, tanh, coth, arctan = map(_elementary, _ELEMENTARY)
 
 
 # -- scalar fields -----------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ansatz import SolutionField
-from .jets import EvaluationError, Point, Region, ScalarField, SingularPointError
+from .jets import EvaluationError, Point, Region, ScalarField, SingularPointError, csv_text
 
 #: number of time samples used to probe f (and u data) before stepping
 _PROBE_NT = 65
@@ -102,12 +102,10 @@ class NumericSolution:
     scheme_metadata: str
 
     def to_csv(self) -> str:
-        lines = ["t,x,u"]
-        for i, t in enumerate(self.ts):
-            row = self.values[i]
-            for j, x in enumerate(self.xs):
-                lines.append(f"{t:.17g},{x:.17g},{row[j]:.17g}")
-        return "\n".join(lines) + "\n"
+        """Every time level, row-major by time then space."""
+        n_t, n_x = self.values.shape
+        return csv_text(np.repeat(self.ts, n_x).tolist(), np.tile(self.xs, n_t).tolist(),
+                        self.values.ravel().tolist())
 
 
 def _probe_f(spec: IbvpSpec, xs: np.ndarray) -> tuple[float, float, Point]:

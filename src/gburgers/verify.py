@@ -11,9 +11,13 @@ substitution of exact jets:
 * ``determining_residuals``    the five-equation system on the coefficients
   of a reduction operator polynomial in u
 
-Raw residuals are signed; each operator also has a ``*_scaled`` companion
-reporting |r| / (1 + sum of |term|), which makes tolerances comparable
-across fields spanning orders of magnitude.
+Each relation is written once, as one tuple of terms per equation, and
+both of its forms derive from those tuples.  The raw residual is signed:
+the sum of each equation's terms, a float for one equation and a tuple for
+two.  The ``*_scaled`` form is the largest over the equations of
+|sum of terms| / (1 + sum of |term|), which makes tolerances comparable
+across fields spanning orders of magnitude.  The determining system takes
+its scales from the same rule.
 
 Every operator also takes a :class:`Point` whose t and x are equal-length
 1-D arrays and then returns arrays, one element per point, each
@@ -26,12 +30,14 @@ grid this way in one call.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .jets import EvaluationError, Jet3, Point, Region, ScalarField, valid_mask
+from .jets import (EvaluationError, Jet3, Point, Region, ScalarField, constant_field,
+                   valid_mask)
 
 #: f must stay this far from zero before 1/f-terms are formed
 EPS_COEFF = 1e-13
@@ -60,9 +66,7 @@ class EmptySweepError(Exception):
 # -- pointwise residuals -----------------------------------------------------
 
 def _jets(jet_fn, p, *fields) -> list[Jet3]:
-    if jet_fn is None:
-        return [field.jet(p) for field in fields]
-    return [jet_fn(field, p) for field in fields]
+    return [(jet_fn or ScalarField.jet)(field, p) for field in fields]
 
 
 def _nonvanishing(v, error, name: str, p):
@@ -100,105 +104,83 @@ def _max(*values):
     return best
 
 
-def _gbe_terms(u, f, p, jet_fn):
-    ju, jf = _jets(jet_fn, p, u, f)
+def _scale(terms):
+    """The scale of one equation: 1 + the sum of |term|."""
+    return 1.0 + sum(abs(s) for s in terms)
+
+
+def _forms(relation: Callable, name: str):
+    """The raw residual ``name`` and the scaled one ``name_scaled`` of a
+    relation given as one tuple of terms per equation; both take the
+    relation's arguments."""
+    def raw(*args, **kwargs):
+        sums = tuple(sum(terms) for terms in relation(*args, **kwargs))
+        return sums[0] if len(sums) == 1 else sums
+
+    def scaled(*args, **kwargs):
+        return _max(*(abs(sum(terms)) / _scale(terms) for terms in relation(*args, **kwargs)))
+
+    for fn, fn_name in ((raw, name), (scaled, name + "_scaled")):
+        functools.update_wrapper(fn, relation)
+        fn.__name__ = fn.__qualname__ = fn_name
+    return raw, scaled
+
+
+def _gbe_terms(ju: Jet3, jf: Jet3):
+    """Terms of u_t + u*u_x + f*u_xx from the jets of u and f."""
     return (ju.d_t, ju.v * ju.d_x, jf.v * ju.d_xx)
 
 
-def gbe_residual(u: ScalarField, f: ScalarField, p: Point,
-                 jet_fn: Optional[JetFn] = None) -> float:
-    """Signed residual of u_t + u*u_x + f*u_xx at p."""
-    return sum(_gbe_terms(u, f, p, jet_fn))
+def _gbe(u: ScalarField, f: ScalarField, p: Point, jet_fn: Optional[JetFn] = None):
+    """The generalized Burgers equation u_t + u*u_x + f*u_xx = 0 at p."""
+    return (_gbe_terms(*_jets(jet_fn, p, u, f)),)
 
 
-def gbe_residual_scaled(u: ScalarField, f: ScalarField, p: Point,
-                        jet_fn: Optional[JetFn] = None) -> float:
-    terms = _gbe_terms(u, f, p, jet_fn)
-    return abs(sum(terms)) / (1.0 + sum(abs(s) for s in terms))
-
-
-def _pfde_terms(theta, p, jet_fn):
-    j, = _jets(jet_fn, p, theta)
-    d_x = _nonvanishing(j.d_x, DegenerateGradientError, "theta_x", p)
-    return (j.d_t, -j.d_xx / d_x), j
-
-
-def pfde_residual(theta: ScalarField, p: Point, jet_fn: Optional[JetFn] = None) -> float:
-    """Signed residual of theta_t - theta_xx/theta_x at p."""
-    terms, _ = _pfde_terms(theta, p, jet_fn)
-    return sum(terms)
-
-
-def pfde_residual_scaled(theta: ScalarField, p: Point, jet_fn: Optional[JetFn] = None) -> float:
-    terms, _ = _pfde_terms(theta, p, jet_fn)
-    return abs(sum(terms)) / (1.0 + sum(abs(s) for s in terms))
-
-
-def gfde_residual(theta: ScalarField, h: Callable[[float], float], p: Point,
-                  jet_fn: Optional[JetFn] = None) -> float:
-    """Signed residual of theta_t - theta_xx/theta_x - h(theta)*theta_x.
+def _gfde(theta: ScalarField, h: Callable[[float], float], p: Point,
+          jet_fn: Optional[JetFn] = None):
+    """theta_t - theta_xx/theta_x - h(theta)*theta_x = 0 at p.
 
     ``h`` is a univariate function of the field value; only its value
-    enters, so any float->float callable works.  Reduces to
-    :func:`pfde_residual` when h is identically zero.
+    enters, so any float->float callable works.  Reduces to the PFDE when
+    h is identically zero.
     """
-    terms, j = _pfde_terms(theta, p, jet_fn)
-    return sum(terms) - h(j.v) * j.d_x
+    j, = _jets(jet_fn, p, theta)
+    d_x = _nonvanishing(j.d_x, DegenerateGradientError, "theta_x", p)
+    terms = (j.d_t, -j.d_xx / d_x)
+    return (terms if h is None else terms + (-(h(j.v) * j.d_x),),)
 
 
-def gfde_residual_scaled(theta: ScalarField, h: Callable[[float], float], p: Point,
-                         jet_fn: Optional[JetFn] = None) -> float:
-    terms, j = _pfde_terms(theta, p, jet_fn)
-    hx = h(j.v) * j.d_x
-    return abs(sum(terms) - hx) / (1.0 + sum(abs(s) for s in terms) + abs(hx))
+def _pfde(theta: ScalarField, p: Point, jet_fn: Optional[JetFn] = None):
+    """The potential fast diffusion equation theta_t - theta_xx/theta_x = 0 at p."""
+    return _gfde(theta, None, p, jet_fn)  # None leaves the h-term out
 
 
-def _potential_jets(theta, f, xi, p, jet_fn):
-    """Jets of theta and xi, and f's value, NaN also where xi's jet failed
-    (the second equation does not read xi)."""
+def _potential(theta: ScalarField, f: ScalarField, xi: ScalarField, p: Point,
+               jet_fn: Optional[JetFn] = None):
+    """The potential system theta_t = xi/f, theta_x = -1/f at p."""
     jt, jf, jx = _jets(jet_fn, p, theta, f, xi)
-    fv = _nonvanishing(jf.v, VanishingCoefficientError, "f", p)
-    return jt, _nan_where_failed(fv, jx.v), jx
+    # NaN also where xi's jet failed, as the second equation does not read xi
+    fv = _nan_where_failed(_nonvanishing(jf.v, VanishingCoefficientError, "f", p), jx.v)
+    return (jt.d_t, -(jx.v / fv)), (jt.d_x, 1.0 / fv)
 
 
-def potential_residual(theta: ScalarField, f: ScalarField, xi: ScalarField, p: Point,
-                       jet_fn: Optional[JetFn] = None) -> tuple[float, float]:
-    """Residuals of the potential system theta_t = xi/f, theta_x = -1/f."""
-    jt, fv, jx = _potential_jets(theta, f, xi, p, jet_fn)
-    return (jt.d_t - jx.v / fv, jt.d_x + 1.0 / fv)
+def _reduced(f: ScalarField, xi: ScalarField, p: Point, jet_fn: Optional[JetFn] = None):
+    """The well-determined pair on (f, xi) at p: f_t + xi*f_x - xi_x*f = 0
+    and xi_t + xi*xi_x + f*xi_xx = 0.
 
-
-def potential_residual_scaled(theta: ScalarField, f: ScalarField, xi: ScalarField,
-                              p: Point, jet_fn: Optional[JetFn] = None) -> float:
-    jt, fv, jx = _potential_jets(theta, f, xi, p, jet_fn)
-    r1 = jt.d_t - jx.v / fv
-    r2 = jt.d_x + 1.0 / fv
-    s1 = 1.0 + abs(jt.d_t) + abs(jx.v / fv)
-    s2 = 1.0 + abs(jt.d_x) + abs(1.0 / fv)
-    return _max(abs(r1) / s1, abs(r2) / s2)
-
-
-def reduced_system_residual(f: ScalarField, xi: ScalarField, p: Point,
-                            jet_fn: Optional[JetFn] = None) -> tuple[float, float]:
-    """Residuals of the well-determined pair on (f, xi).
-
-    r4 = 0 simultaneously certifies xi as a solution of the generalized
-    Burgers equation with arbitrary element f.
+    The second equation is the generalized Burgers equation for u = xi, so
+    it certifies xi as a solution with arbitrary element f.
     """
     jf, jx = _jets(jet_fn, p, f, xi)
-    r3 = jf.d_t + jx.v * jf.d_x - jx.d_x * jf.v
-    r4 = jx.d_t + jx.v * jx.d_x + jf.v * jx.d_xx
-    return (r3, r4)
+    return (jf.d_t, jx.v * jf.d_x, -jx.d_x * jf.v), _gbe_terms(jx, jf)
 
 
-def reduced_system_residual_scaled(f: ScalarField, xi: ScalarField, p: Point,
-                                   jet_fn: Optional[JetFn] = None) -> float:
-    jf, jx = _jets(jet_fn, p, f, xi)
-    t3 = (jf.d_t, jx.v * jf.d_x, -jx.d_x * jf.v)
-    t4 = (jx.d_t, jx.v * jx.d_x, jf.v * jx.d_xx)
-    s3 = 1.0 + sum(abs(s) for s in t3)
-    s4 = 1.0 + sum(abs(s) for s in t4)
-    return _max(abs(sum(t3)) / s3, abs(sum(t4)) / s4)
+gbe_residual, gbe_residual_scaled = _forms(_gbe, "gbe_residual")
+pfde_residual, pfde_residual_scaled = _forms(_pfde, "pfde_residual")
+gfde_residual, gfde_residual_scaled = _forms(_gfde, "gfde_residual")
+potential_residual, potential_residual_scaled = _forms(_potential, "potential_residual")
+reduced_system_residual, reduced_system_residual_scaled = _forms(
+    _reduced, "reduced_system_residual")
 
 
 # -- reduction-operator coefficients ----------------------------------------
@@ -220,14 +202,13 @@ class ReductionOperatorCoefficients:
     @staticmethod
     def common_operator() -> "ReductionOperatorCoefficients":
         """xi1 = 1, all others zero: admitted by every arbitrary element f."""
-        one = ScalarField(lambda t, x: 1.0, name="1")
-        zero = ScalarField(lambda t, x: 0.0, name="0")
-        return ReductionOperatorCoefficients(one, zero, zero, zero)
+        zero = constant_field(0.0)
+        return ReductionOperatorCoefficients(constant_field(1.0), zero, zero, zero)
 
     @staticmethod
     def from_xi(xi: ScalarField) -> "ReductionOperatorCoefficients":
         """xi independent of u, eta = 0 (the potential-system branch)."""
-        zero = ScalarField(lambda t, x: 0.0, name="0")
+        zero = constant_field(0.0)
         return ReductionOperatorCoefficients(zero, xi, zero, zero)
 
 
@@ -292,13 +273,13 @@ def determining_residuals(f: ScalarField, coeffs: ReductionOperatorCoefficients,
         re = abs(sum(te))
         better = re > re_best
         re_best = _where(better, re, re_best)
-        se_best = _where(better, 1.0 + sum(abs(s) for s in te), se_best)
+        se_best = _where(better, _scale(te), se_best)
 
     residuals = (sum(ta), sum(tb), sum(tc), sum(td), re_best)
     # the first equations read neither f nor every jet, and a failed
     # u-sample never replaces re_best: mark failed elements explicitly
     residuals = tuple(_nan_where_failed(r, fv, J1.v, J0.v, H1.v, H0.v) for r in residuals)
-    scales = tuple(1.0 + sum(abs(s) for s in ts) for ts in (ta, tb, tc, td)) + (se_best,)
+    scales = tuple(map(_scale, (ta, tb, tc, td))) + (se_best,)
     return DeterminingResiduals(residuals, scales)
 
 
@@ -332,11 +313,10 @@ def linear_operator_fields(q: LinearReductionOperator) -> ReductionOperatorCoeff
     def den(T):
         return a * T * T + (b1 + b2) * T + c
 
-    zero = ScalarField(lambda t, x: 0.0, name="0")
     xi0 = ScalarField(lambda T, X: ((a * T + b1) * X + d1 * T + d0) / den(T), name="lin-xi0")
     eta1 = ScalarField(lambda T, X: -(a * T + b2) / den(T), name="lin-eta1")
     eta0 = ScalarField(lambda T, X: (a * X + d1) / den(T), name="lin-eta0")
-    return ReductionOperatorCoefficients(xi1=zero, xi0=xi0, eta1=eta1, eta0=eta0)
+    return ReductionOperatorCoefficients(xi1=constant_field(0.0), xi0=xi0, eta1=eta1, eta0=eta0)
 
 
 # -- grid sweeps ---------------------------------------------------------------

@@ -115,6 +115,7 @@ class TestSolve:
         # row-major by time then space
         first = lines[1].split(",")
         assert float(first[0]) == 0.0 and float(first[1]) == -1.0
+        assert all(field != "-0" for line in lines[1:] for field in line.split(","))
 
 
 class TestManufacturedDataOnAPole:

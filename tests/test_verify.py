@@ -11,6 +11,7 @@ from gburgers.verify import (DegenerateGradientError, EmptySweepError, SweepRepo
                              LinearReductionOperator, ReductionOperatorCoefficients,
                              VanishingCoefficientError, determining_residuals,
                              gbe_residual, gbe_residual_scaled, gfde_residual,
+                             gfde_residual_scaled,
                              linear_operator_fields, pfde_residual,
                              pfde_residual_scaled, potential_residual,
                              potential_residual_scaled,
@@ -44,6 +45,9 @@ class TestGbeResidual:
     def test_non_solution(self):
         u = ScalarField(lambda T, X: X)
         assert gbe_residual(u, F_MINUS_ONE, Point(0.0, 2.0)) == pytest.approx(2.0)
+        # terms u_t = 0, u*u_x = 2, f*u_xx = 0
+        assert gbe_residual_scaled(u, F_MINUS_ONE, Point(0.0, 2.0)) == \
+            2.0 / (1.0 + 0.0 + 2.0 + 0.0)
 
 
 class TestPfdeResidual:
@@ -58,6 +62,8 @@ class TestPfdeResidual:
     def test_non_solution(self):
         theta = ScalarField(lambda T, X: T + X)
         assert pfde_residual(theta, Point(0.2, 0.9)) == pytest.approx(1.0)
+        # terms theta_t = 1, -theta_xx/theta_x = 0
+        assert pfde_residual_scaled(theta, Point(0.2, 0.9)) == 1.0 / (1.0 + 1.0 + 0.0)
 
     def test_degenerate_gradient(self):
         theta = ScalarField(lambda T, X: T)
@@ -83,6 +89,9 @@ class TestGfdeResidual:
     def test_constant_h_on_linear_theta(self):
         theta = ScalarField(lambda T, X: X)
         assert gfde_residual(theta, lambda w: 1.0, Point(0.0, 0.0)) == pytest.approx(-1.0)
+        # terms theta_t = 0, -theta_xx/theta_x = 0, -h*theta_x = -1
+        assert gfde_residual_scaled(theta, lambda w: 1.0, Point(0.0, 0.0)) == \
+            1.0 / (1.0 + 0.0 + 0.0 + 1.0)
 
 
 class TestPotentialResidual:
@@ -101,6 +110,9 @@ class TestPotentialResidual:
         f = ScalarField(lambda T, X: 1.0)
         _, r2 = potential_residual(theta, f, ZERO, Point(0.3, 0.3))
         assert r2 == pytest.approx(2.0)
+        # terms (theta_t = 0, -xi/f = 0) and (theta_x = 1, 1/f = 1)
+        assert potential_residual_scaled(theta, f, ZERO, Point(0.3, 0.3)) == \
+            max(0.0 / (1.0 + 0.0 + 0.0), 2.0 / (1.0 + 1.0 + 1.0))
 
     def test_vanishing_f(self):
         with pytest.raises(VanishingCoefficientError):
@@ -119,8 +131,11 @@ class TestReducedSystemResidual:
 
     def test_non_solution_pair(self):
         xi = ScalarField(lambda T, X: X)
-        r3, _ = reduced_system_residual(F_MINUS_ONE, xi, Point(0.4, 0.9))
-        assert r3 == pytest.approx(1.0)
+        r3, r4 = reduced_system_residual(F_MINUS_ONE, xi, Point(0.4, 0.9))
+        assert r3 == pytest.approx(1.0) and r4 == pytest.approx(0.9)
+        # terms (f_t = 0, xi*f_x = 0, -xi_x*f = 1) and (xi_t = 0, xi*xi_x = 0.9, f*xi_xx = 0)
+        assert reduced_system_residual_scaled(F_MINUS_ONE, xi, Point(0.4, 0.9)) == \
+            max(1.0 / (1.0 + 0.0 + 0.0 + 1.0), 0.9 / (1.0 + 0.0 + 0.9 + 0.0))
 
     @pytest.mark.parametrize("entry", iter_cases(), ids=lambda e: f"case{e.id}")
     def test_all_cases_on_random_points(self, entry):

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .catalog import EPS_DEN, CatalogEntry
-from .jets import Jet3, Point, ScalarField, SingularPointError, cos, exp, refine, sin
+from .jets import (Jet3, Point, ScalarField, SingularPointError, cos, exp, fail_where,
+                   refine, sin, where)
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,13 @@ class RiccatiBranch:
     def __post_init__(self) -> None:
         if self.c1 == 0.0 and self.c2 == 0.0:
             raise ValueError("family constants (c1, c2) must not both vanish")
+
+    @cached_property
+    def _scaled(self) -> tuple[float, float, float]:
+        """(nu, c1, c2), c1 and c2 scaled by the power of two that puts the larger
+        in [1, 2): exact, and only their ratio counts, but tiny ones cannot underflow."""
+        e = math.frexp(max(abs(self.c1), abs(self.c2)))[1] - 1
+        return self.nu, math.ldexp(self.c1, -e), math.ldexp(self.c2, -e)
 
 
 @dataclass(frozen=True)
@@ -58,54 +67,28 @@ def _value(w):
 
 
 def _check_pole(den, c1: float, c2: float):
-    """den, checked to stay off the poles: a float or a jet raises
-    SingularPointError; an array or an array jet gets NaN at the pole
-    elements."""
+    """den, kept off the poles by :func:`gburgers.jets.fail_where`."""
     margin = EPS_DEN * (abs(c1) + abs(c2))
-    pole = abs(_value(den)) <= margin
-    if not isinstance(pole, np.ndarray):
-        if pole:
-            raise SingularPointError("pole of the solution branch")
-        return den
-    if not pole.any():
-        return den
-    return den.masked(pole) if isinstance(den, Jet3) else np.where(pole, np.nan, den)
+    return fail_where(abs(_value(den)) <= margin, den, "pole of the solution branch",
+                      error=SingularPointError)
 
 
-def _negative_nu(b: RiccatiBranch, omega, derivative: bool):
+def _negative_nu(nu: float, c1: float, c2: float, omega, derivative: bool):
     """The nu < 0 branch (or its derivative) at a float, an array or a jet,
-    rescaled by the dominant exponential so that large |k*omega| cannot
-    overflow.  An array or an array jet is split by the sign of its value,
-    and each part is evaluated on its own elements only."""
-    nu, c1, c2 = b.nu, b.c1, b.c2
+    divided through by the dominant exponential so that large |k*omega|
+    cannot overflow: with s = +-1 the sign of omega (+1 at zero) and
+    (a, c) = (c1, c2) for s = 1, (c2, c1) for s = -1, r = e^{-2k s omega}
+    <= 1 and phi = -2k s (a - c r)/(a + c r)."""
     k = math.sqrt(-nu)
-
-    def part(w, nonnegative: bool):
-        if nonnegative:
-            r = exp(-2.0 * k * w)
-            num, den = c1 - c2 * r, c1 + c2 * r
-        else:
-            r = exp(2.0 * k * w)
-            num, den = c1 * r - c2, c1 * r + c2
-        den = _check_pole(den, c1, c2)
-        if derivative:
-            # -8 k^2 c1 c2 / (c1 e^{kw} + c2 e^{-kw})^2 in the rescaled variables
-            return 8.0 * nu * c1 * c2 * r / (den * den)
-        return -2.0 * k * num / den
-
-    v = _value(omega)
-    if not isinstance(v, np.ndarray):
-        return part(omega, v >= 0.0)
-    nonneg = v >= 0.0
-    if nonneg.all() or not nonneg.any():
-        return part(omega, bool(nonneg.all()))
-    if isinstance(omega, Jet3):
-        return Jet3.merge(nonneg, part(omega.take(nonneg), True),
-                          part(omega.take(~nonneg), False))
-    out = np.empty(omega.shape)
-    out[nonneg] = part(omega[nonneg], True)
-    out[~nonneg] = part(omega[~nonneg], False)
-    return out
+    nonneg = _value(omega) >= 0.0
+    s = where(nonneg, 1.0, -1.0)
+    a, c = where(nonneg, c1, c2), where(nonneg, c2, c1)
+    r = exp(-2.0 * k * s * omega)
+    den = _check_pole(a + c * r, c1, c2)
+    if derivative:
+        # -8 k^2 c1 c2 / (c1 e^{kw} + c2 e^{-kw})^2 in the rescaled variables
+        return 8.0 * nu * c1 * c2 * r / (den * den)
+    return -2.0 * k * s * (a - c * r) / den
 
 
 def phi(b: RiccatiBranch, omega) -> float:
@@ -117,9 +100,9 @@ def phi(b: RiccatiBranch, omega) -> float:
     nu = 0:  -2*c2/(c1 + c2*w)
     nu > 0:   2k*(c1*sin(k w) - c2*cos(k w))/(c1*cos(k w) + c2*sin(k w)), k = sqrt(nu)
     """
-    nu, c1, c2 = b.nu, b.c1, b.c2
+    nu, c1, c2 = b._scaled
     if nu < 0.0:
-        return _negative_nu(b, omega, derivative=False)
+        return _negative_nu(nu, c1, c2, omega, derivative=False)
     if nu == 0.0:
         den = _check_pole(c1 + c2 * omega, c1, c2)
         return -2.0 * c2 / den
@@ -131,9 +114,9 @@ def phi(b: RiccatiBranch, omega) -> float:
 def phi_prime(b: RiccatiBranch, omega) -> float:
     """Closed-form derivative of the branch, independent of the Riccati
     right-hand side (so that the residual check below means something)."""
-    nu, c1, c2 = b.nu, b.c1, b.c2
+    nu, c1, c2 = b._scaled
     if nu < 0.0:
-        return _negative_nu(b, omega, derivative=True)
+        return _negative_nu(nu, c1, c2, omega, derivative=True)
     if nu == 0.0:
         den = _check_pole(c1 + c2 * omega, c1, c2)
         return 2.0 * c2 * c2 / (den * den)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import SolutionField
-from .jets import Point, ScalarField, SingularPointError, refine
+from .jets import Point, ScalarField, SingularPointError, fail_where, refine
 
 _EPS_SINGULAR = 1e-13
 
@@ -111,15 +111,10 @@ def _regular(g: EquivalenceElement, t):
 
 
 def _den(g: EquivalenceElement, t):
-    """gamma*t + delta: a float raises SingularPointError where it vanishes,
-    an array is NaN there."""
-    ok = _regular(g, t)
-    den = g.gamma * t + g.delta
-    if isinstance(ok, np.ndarray):
-        return np.where(ok, den, np.nan)
-    if not ok:
-        raise SingularPointError(f"projective singularity gamma*t + delta = 0 at t = {t}")
-    return den
+    """gamma*t + delta, kept off zero (and NaN t) by :func:`fail_where`."""
+    return fail_where(np.logical_not(_regular(g, t)), g.gamma * t + g.delta,
+                      "projective singularity gamma*t + delta = 0 at t = {}", t,
+                      error=SingularPointError)
 
 
 def _point_action(g: EquivalenceElement, t, x, den=None):

@@ -25,6 +25,9 @@ or domain error in :mod:`math`), the element becomes NaN and the others are
 unaffected.  ``ScalarField.jet`` takes a :class:`Point` of arrays and
 returns such a jet, NaN in all ten entries at every element whose jet is
 not finite.  Plain arrays (``ScalarField.sample``) keep numpy's ufuncs.
+:func:`fail_where` is the one place that knows this policy: every
+deliberate exclusion of the package (a zero divisor, a pole of a Riccati
+branch, a vanishing f or theta_x, a projective singularity) goes through it.
 """
 
 from __future__ import annotations
@@ -144,6 +147,7 @@ _IDX = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), 
 _POS = {ij: n for n, ij in enumerate(_IDX)}
 
 _ELEMENT_ERRORS = (ArithmeticError, ValueError, EvaluationError)
+_NUMBER = (int, float, np.ndarray)  # numbers to Jet3's +, - and *; an array per element
 
 
 def _coeff(v):
@@ -176,14 +180,26 @@ def _ipow(u, n: int):
     return _pointwise(pow, u, n)
 
 
-def _fail_where(bad, u, message: str):
-    """u, unless ``bad``: a float then raises EvaluationError, an array
-    gets NaN at the elements where ``bad`` holds."""
-    if isinstance(u, np.ndarray):
-        return np.where(bad, math.nan, u)
-    if bad:
-        raise EvaluationError(message)
-    return u
+def fail_where(bad, u, message: str, *args, error=EvaluationError):
+    """u, unless ``bad`` holds somewhere: the guard of every deliberate
+    exclusion.  At one point (a float, or a jet of floats) ``bad`` is a
+    bool, and a true one raises ``error(message.format(*args))``, the only
+    time the message is formatted.  For an array or an array jet ``bad`` is
+    a bool array, and the bad elements become NaN (``Jet3.masked``)."""
+    if not isinstance(bad, np.ndarray):
+        if bad:
+            raise error(message.format(*args))
+        return u
+    if not bad.any():
+        return u
+    return u.masked(bad) if isinstance(u, Jet3) else np.where(bad, math.nan, u)
+
+
+def where(cond, a, b):
+    """``a if cond else b``, elementwise when cond is an array."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
 
 
 class Jet3:
@@ -296,7 +312,7 @@ class Jet3:
         if isinstance(other, Jet3):
             a, b = self.c, other.c
             return Jet3([a[n] + b[n] for n in range(10)])
-        if isinstance(other, (int, float)):
+        if isinstance(other, _NUMBER):
             out = list(self.c)
             out[0] = out[0] + other  # not +=, which would change an array entry of self
             return Jet3(out)
@@ -308,14 +324,14 @@ class Jet3:
         if isinstance(other, Jet3):
             a, b = self.c, other.c
             return Jet3([a[n] - b[n] for n in range(10)])
-        if isinstance(other, (int, float)):
+        if isinstance(other, _NUMBER):
             out = list(self.c)
             out[0] = out[0] - other
             return Jet3(out)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, _NUMBER):
             out = [-ci for ci in self.c]
             out[0] = out[0] + other
             return Jet3(out)
@@ -340,7 +356,7 @@ class Jet3:
                 0.0 + a0 * b8 + a1 * b5 + a2 * b4 + a4 * b2 + a5 * b1 + a8 * b0,
                 0.0 + a0 * b9 + a2 * b5 + a5 * b2 + a9 * b0,
             ])
-        if isinstance(other, (int, float)):
+        if isinstance(other, _NUMBER):
             return Jet3([ci * other for ci in self.c])
         return NotImplemented
 
@@ -348,7 +364,7 @@ class Jet3:
 
     def _reciprocal(self) -> "Jet3":
         u = self.c[0]
-        u = _fail_where(u == 0.0, u, "division by zero in jet evaluation")
+        u = fail_where(u == 0.0, u, "division by zero in jet evaluation")
         iu = 1.0 / u
         return self.compose(iu, -iu * iu, 2.0 * _ipow(iu, 3), -6.0 * _ipow(iu, 4))
 
@@ -356,8 +372,7 @@ class Jet3:
         if isinstance(other, Jet3):
             return self * other._reciprocal()
         if isinstance(other, (int, float)):
-            if other == 0:
-                raise EvaluationError("division by zero in jet evaluation")
+            other = fail_where(other == 0, other, "division by zero in jet evaluation")
             return self * (1.0 / other)
         return NotImplemented
 
@@ -381,22 +396,6 @@ class Jet3:
     def masked(self, bad) -> "Jet3":
         """This array jet with all ten entries NaN where ``bad`` holds."""
         return Jet3([np.where(bad, math.nan, ci) for ci in self.c])
-
-    def take(self, mask) -> "Jet3":
-        """The elements of this array jet where ``mask`` holds."""
-        return Jet3([ci[mask] if isinstance(ci, np.ndarray) else ci for ci in self.c])
-
-    @staticmethod
-    def merge(mask, a: "Jet3", b: "Jet3") -> "Jet3":
-        """The array jet equal to ``a`` where ``mask`` holds and to ``b``
-        elsewhere, ``a`` and ``b`` holding just those elements."""
-        out = []
-        for ai, bi in zip(a.c, b.c):
-            ci = np.empty(mask.shape)
-            ci[mask] = ai
-            ci[~mask] = bi
-            out.append(ci)
-        return Jet3(out)
 
     # -- composition -------------------------------------------------------
 
@@ -463,13 +462,13 @@ class Jet3:
 
 def _log_abs_rule(u):
     # the derivatives of ln|g| are g'/g regardless of sign
-    u = _fail_where(u == 0.0, u, "log of zero in jet evaluation")
+    u = fail_where(u == 0.0, u, "log of zero in jet evaluation")
     iu = 1.0 / u
     return _pointwise(math.log, abs(u)), iu, -iu * iu, 2.0 * _ipow(iu, 3)
 
 
 def _sqrt_rule(u):
-    u = _fail_where(u <= 0.0, u, "sqrt of non-positive value in jet evaluation")
+    u = fail_where(u <= 0.0, u, "sqrt of non-positive value in jet evaluation")
     s = _pointwise(math.sqrt, u)
     return s, 0.5 / s, -0.25 / (u * s), 0.375 / (u * u * s)
 
@@ -487,10 +486,9 @@ def _riccati_rule(v, sign: float):
 
 
 def _coth(u, message: str = "coth at zero"):
-    """coth u through math, elementwise for an array; where sinh u is zero,
-    a float raises EvaluationError(message) and an array element is NaN."""
+    """coth u through math, elementwise for an array; fails where sinh u is zero."""
     s = _pointwise(math.sinh, u)
-    return _pointwise(math.cosh, u) / _fail_where(s == 0.0, s, message)
+    return _pointwise(math.cosh, u) / fail_where(s == 0.0, s, message)
 
 
 def _arctan_rule(u):
@@ -502,7 +500,7 @@ def _arctan_rule(u):
 #: name -> (function on a float, function on a plain array, jet rule)
 _ELEMENTARY = {
     "exp": (math.exp, np.exp, lambda u: (_pointwise(math.exp, u),) * 4),
-    "log_abs": (lambda u: math.log(abs(_fail_where(u == 0.0, u, "log of zero"))),
+    "log_abs": (lambda u: math.log(abs(fail_where(u == 0.0, u, "log of zero"))),
                 lambda a: np.log(np.abs(a)), _log_abs_rule),
     "sqrt": (math.sqrt, np.sqrt, _sqrt_rule),
     "sin": (math.sin, np.sin, lambda u: _linear_rule(
@@ -571,33 +569,23 @@ class ScalarField:
         """
         t, x = p
         if isinstance(t, np.ndarray) or isinstance(x, np.ndarray):
-            return self._array_jet(t, x)
-        if not (math.isfinite(t) and math.isfinite(x)):
+            t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+        elif not (math.isfinite(t) and math.isfinite(x)):
             raise ValueError(f"non-finite evaluation point {p!r}")
-        r = self._call(Jet3.variable_t(t), Jet3.variable_x(x))
-        j = r if isinstance(r, Jet3) else Jet3.constant(float(r))
-        if not all(map(math.isfinite, j.c)):
-            raise EvaluationError(
-                f"non-finite derivative of field {self.name or '<anonymous>'} at {p!r}")
-        return j
-
-    def _array_jet(self, t, x) -> Jet3:
-        t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
         with np.errstate(all="ignore"):
             r = self._call(Jet3.variable_t(t), Jet3.variable_x(x))
         j = r if isinstance(r, Jet3) else Jet3.constant(r)
-        ok = np.isfinite(t) & np.isfinite(x)
+        isfinite = np.isfinite if isinstance(t, np.ndarray) else math.isfinite  # faster on floats
+        ok = isfinite(t) & isfinite(x)
         for ci in j.c:
-            ok &= np.isfinite(ci)
-        return j if ok.all() else j.masked(~ok)
+            ok &= isfinite(ci)
+        return fail_where(np.logical_not(ok), j, "non-finite derivative of field {} at {!r}",
+                          self.name or "<anonymous>", p)
 
     def value(self, t: float, x: float) -> float:
-        r = self._call(float(t), float(x))
-        r = float(r)
-        if not math.isfinite(r):
-            raise EvaluationError(
-                f"non-finite value of field {self.name or '<anonymous>'} at ({t}, {x})")
-        return r
+        r = float(self._call(float(t), float(x)))
+        return fail_where(not math.isfinite(r), r, "non-finite value of field {} at ({}, {})",
+                          self.name or "<anonymous>", t, x)
 
     def sample(self, t, xs: np.ndarray) -> np.ndarray:
         """Vectorized values over an array of x, at a fixed t or at an array

@@ -168,33 +168,34 @@ def solve_ibvp(spec: IbvpSpec) -> NumericSolution:
     inv_dx2 = 1.0 / (dx * dx)
     x_int = xs[1:-1]
 
-    def rhs(t: float, interior: np.ndarray) -> np.ndarray:
-        bl, br = spec.boundary_values(t)
+    def rhs(bounds: tuple[float, float], fv: np.ndarray, interior: np.ndarray) -> np.ndarray:
         full = np.empty(spec.n_x + 1)
-        full[0] = bl
-        full[-1] = br
+        full[0], full[-1] = bounds
         full[1:-1] = interior
         ux = (full[2:] - full[:-2]) * inv_2dx
         uxx = (full[2:] - 2.0 * full[1:-1] + full[:-2]) * inv_dx2
-        fv = spec.f.sample(t, x_int)
         return -interior * ux - fv * uxx
 
+    # each stage time is evaluated once: k2 and k3 share the midpoint data,
+    # and the boundary pair of a level, taken at the t of the next k1, serves it
     u = u0[1:-1].copy()
     t = float(region.t0)
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
+        bounds = spec.boundary_values(t)
         for n in range(n_steps):
-            k1 = rhs(t, u)
-            k2 = rhs(t + 0.5 * dt, u + 0.5 * dt * k1)
-            k3 = rhs(t + 0.5 * dt, u + 0.5 * dt * k2)
-            k4 = rhs(t + dt, u + dt * k3)
+            k1 = rhs(bounds, spec.f.sample(t, x_int), u)
+            tm = t + 0.5 * dt
+            mid = (spec.boundary_values(tm), spec.f.sample(tm, x_int))
+            k2 = rhs(*mid, u + 0.5 * dt * k1)
+            k3 = rhs(*mid, u + 0.5 * dt * k2)
+            k4 = rhs(spec.boundary_values(t + dt), spec.f.sample(t + dt, x_int), u + dt * k3)
             u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = region.t0 + (n + 1) * dt
             if not np.all(np.isfinite(u)):
                 raise BlowUpError(f"solution blew up between t = {t - dt} and t = {t}",
                                   last_stable_time=t - dt)
-            bl, br = spec.boundary_values(t)
-            values[n + 1, 0] = bl
-            values[n + 1, -1] = br
+            bounds = spec.boundary_values(t)
+            values[n + 1, 0], values[n + 1, -1] = bounds
             values[n + 1, 1:-1] = u
 
     meta = (f"method-of-lines central2 + RK4, n_x={spec.n_x}, dx={dx:.6g}, "

@@ -24,8 +24,9 @@ Every operator also takes a :class:`Point` whose t and x are equal-length
 bit-identical to the residual of that point taken alone (array jets, see
 :mod:`gburgers.jets`).  Where a single point raises
 :class:`EvaluationError` (a jet that fails, theta_x or f within
-``EPS_COEFF`` of zero), the element is NaN.  :func:`sweep` evaluates a whole
-grid this way in one call.
+``EPS_COEFF`` of zero), the element is NaN: both come from
+:func:`gburgers.jets.fail_where`, the one guard that knows this policy.
+:func:`sweep` evaluates a whole grid this way in one call.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .jets import (EvaluationError, Jet3, Point, Region, ScalarField, constant_field,
-                   valid_mask)
+                   fail_where, valid_mask, where)
 
 #: f must stay this far from zero before 1/f-terms are formed
 EPS_COEFF = 1e-13
@@ -70,13 +71,8 @@ def _jets(jet_fn, p, *fields) -> list[Jet3]:
 
 
 def _nonvanishing(v, error, name: str, p):
-    """v, checked to stay more than EPS_COEFF away from zero: a float
-    raises ``error``, an array gets NaN where the check fails."""
-    if isinstance(v, np.ndarray):
-        return np.where(np.abs(v) <= EPS_COEFF, np.nan, v)
-    if abs(v) <= EPS_COEFF:
-        raise error(f"{name} = {v} at {tuple(p)}")
-    return v
+    """v, kept more than EPS_COEFF away from zero by :func:`fail_where`."""
+    return fail_where(abs(v) <= EPS_COEFF, v, "{} = {} at {}", name, v, tuple(p), error=error)
 
 
 def _nan_where_failed(v, *values):
@@ -88,19 +84,12 @@ def _nan_where_failed(v, *values):
     return v
 
 
-def _where(cond, a, b):
-    """``a if cond else b``, elementwise when cond is an array."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
-
-
 def _max(*values):
     """The builtin max, elementwise for arrays: a value replaces the
     running maximum only where it is greater."""
     best = values[0]
     for v in values[1:]:
-        best = _where(v > best, v, best)
+        best = where(v > best, v, best)
     return best
 
 
@@ -272,8 +261,8 @@ def determining_residuals(f: ScalarField, coeffs: ReductionOperatorCoefficients,
               -(ft / fv) * ETA.v, -(fx / fv) * xi_v * ETA.v)
         re = abs(sum(te))
         better = re > re_best
-        re_best = _where(better, re, re_best)
-        se_best = _where(better, _scale(te), se_best)
+        re_best = where(better, re, re_best)
+        se_best = where(better, _scale(te), se_best)
 
     residuals = (sum(ta), sum(tb), sum(tc), sum(td), re_best)
     # the first equations read neither f nor every jet, and a failed

@@ -158,6 +158,19 @@ def test_constant_ratio_is_the_only_essential_parameter():
         assert v2 == pytest.approx(v1, rel=1e-13, abs=1e-13)
 
 
+def test_tiny_constants_give_the_values_of_their_ratio():
+    # scaling (c1, c2) by a power of two changes no bit, however small they are
+    w, jw, aw = 0.5, Jet3.variable_x(0.5), np.array([0.5])
+    for nu in (-1.5, 0.0, 2.0):
+        b = RiccatiBranch(nu, 1.0, 0.75)
+        for s in (2.0 ** -1000, 2.0 ** -200, 2.0 ** 60):
+            bs = RiccatiBranch(nu, s * 1.0, s * 0.75)
+            for fn in (phi, phi_prime):
+                assert fn(bs, w) == fn(b, w)
+                assert fn(bs, jw).c == fn(b, jw).c
+                assert fn(bs, aw).tolist() == fn(b, aw).tolist()
+
+
 def test_branch_continuity_at_nu_zero():
     # matched constants make nu -> 0+- converge to the nu = 0 branch
     # (away from the pole, where pointwise comparison is meaningful)

@@ -5,8 +5,8 @@ import pytest
 
 from gburgers.catalog import iter_cases
 from gburgers.jets import (Antiderivative, EvaluationError, Jet3, Point, Region,
-                           ScalarField, arctan, cos, cosh, coth, exp,
-                           fd_jet, log_abs, sin, sinh, sqrt, tan, tanh)
+                           ScalarField, SingularPointError, arctan, cos, cosh, coth, exp,
+                           fail_where, fd_jet, log_abs, sin, sinh, sqrt, tan, tanh)
 
 ENTRY_NAMES = ("v", "d_t", "d_x", "d_tt", "d_tx", "d_xx", "d_ttt", "d_ttx", "d_txx", "d_xxx")
 
@@ -484,3 +484,42 @@ def test_antiderivative_of_an_array_jet():
         B = Antiderivative(lambda w: 1.0 / w, w0=1.0)  # a fresh memo
         ref = ScalarField(lambda T, X: B(X) * T).jet(Point(ts[i], xs[i]))
         assert element_bits(j, i) == bits(ref)
+
+
+def test_array_numbers_act_per_element():
+    sets = seeded_jet_sets(50)
+    A = stack([s[0] for s in sets])
+    ns = np.array([s[2][0] for s in sets])
+    ops = {"add": lambda a, n: a + n, "radd": lambda a, n: n + a,
+           "sub": lambda a, n: a - n, "rsub": lambda a, n: n - a,
+           "mul": lambda a, n: a * n, "rmul": lambda a, n: n * a}
+    for name, op in ops.items():
+        assert_elements_match(op(A, ns), [op(s[0], float(n)) for s, n in zip(sets, ns)], name)
+
+
+class Unformattable:
+    def __format__(self, spec):
+        raise AssertionError("the message was formatted")
+
+
+def test_fail_where():
+    arg = Unformattable()
+    # nothing bad: the very object comes back, and the message is never formatted
+    j = Jet3.variable_x(1.5)
+    a = np.array([1.0, 2.0])
+    aj = Jet3.variable_x(a)
+    for bad, u in ((False, 2.0), (False, j), (np.zeros(2, bool), a), (np.zeros(2, bool), aj)):
+        assert fail_where(bad, u, "{}", arg) is u
+    # one point raises the error asked for, with the formatted message
+    for u in (2.0, j):
+        with pytest.raises(EvaluationError, match=r"^bad 2 at \(1, 2\)$"):
+            fail_where(True, u, "bad {} at {}", 2, (1, 2))
+        with pytest.raises(SingularPointError, match="^pole$"):
+            fail_where(np.bool_(True), u, "pole", error=SingularPointError)
+    # arrays and array jets get NaN at the bad elements only, and format nothing
+    bad = np.array([False, True])
+    out = fail_where(bad, a, "{}", arg)
+    assert out[0] == 1.0 and math.isnan(out[1]) and a[1] == 2.0
+    out = fail_where(bad, aj, "{}", arg)
+    assert element_bits(out, 0) == bits(Jet3.variable_x(1.0))
+    assert all(math.isnan(float.fromhex(h)) for h in element_bits(out, 1))

@@ -16,7 +16,7 @@ from .equivalence import (EquivalenceElement, apply_point, apply_u, compose,
 from .jets import (Antiderivative, EvaluationError, Jet3, Point, Region,
                    ScalarField, SingularPointError, constant_field, fd_jet)
 from .numsolve import (BlowUpError, ConvergenceReport, IbvpSpec, NumericSolution,
-                       WellPosednessError, compare, convergence_study, solve_ibvp)
+                       WellPosednessError, compare, convergence_study, march, solve_ibvp)
 from .verify import (DeterminingResiduals, EmptySweepError, LinearReductionOperator,
                      ReductionOperatorCoefficients, SweepReport, determining_residuals,
                      gbe_residual, gbe_residual_scaled, gfde_residual,
@@ -37,7 +37,7 @@ __all__ = [
     "compose", "constant_field", "convergence_study", "determining_residuals",
     "eval_case", "fd_jet", "gbe_residual", "gbe_residual_scaled",
     "get_case", "gfde_residual", "gfde_residual_scaled", "identity", "inverse",
-    "iter_cases", "linear_operator_fields", "matched_branch", "phi", "phi_prime",
+    "iter_cases", "linear_operator_fields", "march", "matched_branch", "phi", "phi_prime",
     "pfde_residual", "pfde_residual_scaled", "potential_residual",
     "potential_residual_scaled", "rational_solution", "reduced_system_residual",
     "reduced_system_residual_scaled", "riccati_residual", "solve_ibvp", "sweep",

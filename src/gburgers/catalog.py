@@ -69,13 +69,8 @@ class CatalogEntry:
         object.__setattr__(self, "valid", _overflow_safe(self.valid))
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "f_expr": self.f_expr,
-            "xi_expr": self.xi_expr,
-            "theta_expr": self.theta_expr,
-            "singular_description": self.singular_description,
-        }
+        return {k: getattr(self, k) for k in
+                ("id", "f_expr", "xi_expr", "theta_expr", "singular_description")}
 
 
 def _overflow_safe(valid: Callable) -> Callable:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 
 import click
@@ -21,9 +22,9 @@ import numpy as np
 from . import catalog
 from .ansatz import RiccatiBranch, SolutionField, build_solution, rational_solution, xi_solution
 from .equivalence import EquivalenceElement, transform_solution
-from .jets import EvaluationError, Point, Region, csv_text, format_float, valid_mask
-from .numsolve import (BlowUpError, IbvpSpec, WellPosednessError, compare,
-                       convergence_study, solve_ibvp)
+from .jets import EvaluationError, Point, Region, csv_rows, csv_text, format_float, valid_mask
+from .numsolve import (BlowUpError, IbvpSpec, NumericSolution, WellPosednessError, compare,
+                       convergence_study, march, solve_ibvp)
 from .verify import (EmptySweepError, ReductionOperatorCoefficients,
                      determining_residuals, gbe_residual_scaled,
                      pfde_residual_scaled, potential_residual_scaled,
@@ -46,6 +47,8 @@ def _json_dumps(obj) -> str:
 
 
 def domain_errors_to_exit(fn):
+    """Domain errors exit 3; a ValueError, which the library raises only for
+    bad input (case ids, parameters, grid sizes), is a usage error (exit 2)."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
@@ -53,6 +56,8 @@ def domain_errors_to_exit(fn):
         except (EvaluationError, EmptySweepError, WellPosednessError, BlowUpError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_DOMAIN)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
     return wrapper
 
 
@@ -90,19 +95,34 @@ def _solution(entry: catalog.CatalogEntry, kind: str, nu: float, c1: float,
     return rational_solution(c1, c2, entry.f)
 
 
-def _grid_csv(sol: SolutionField, region: Region, n_t: int, n_x: int) -> str:
-    """CSV of u on the grid; the first point, in row-major order, where u is
-    invalid or fails to evaluate raises."""
-    p = region.points(n_t, n_x)
+def _grid_values(sol: SolutionField, reg: Region, n_t: int, n_x: int) -> tuple[list, list, list]:
+    """(t, x, u) columns of the grid in row-major order; the first point
+    where u is invalid or fails to evaluate raises."""
+    p = reg.points(n_t, n_x)
     bad = np.flatnonzero(~valid_mask(sol.valid, p))
     end = int(bad[0]) if bad.size else p.t.size
     ts, xs = p.t[:end].tolist(), p.x[:end].tolist()
-    text = csv_text(ts, xs, list(map(sol.u.value, ts, xs)))
+    us = list(map(sol.u.value, ts, xs))
     if bad.size:
         raise EvaluationError(
             f"solution is singular at ({format_float(p.t[end])}, {format_float(p.x[end])}); "
             f"choose a region inside the valid domain")
-    return text
+    return ts, xs, us
+
+
+def _write_levels(levels, out: str) -> NumericSolution:
+    """Write every level of a march to ``out`` as CSV, row-major by time then
+    space, and return the last.  A march that fails leaves no file."""
+    num = next(levels)  # a march makes all of its checks before its first level
+    try:
+        with open(out, "w") as fh:
+            fh.write(csv_text([num.t] * num.xs.size, num.xs.tolist(), num.u.tolist()))
+            for num in levels:
+                fh.write(csv_rows([num.t] * num.xs.size, num.xs.tolist(), num.u.tolist()))
+    except BaseException:
+        os.remove(out)
+        raise
+    return num
 
 
 def _value_or_nan(u, t: float, x: float) -> float:
@@ -179,13 +199,13 @@ def cmd_eval(case_id, kind, nu, c1, c2, lam, region, res, fmt, out):
     n_t, n_x = _parse_res(res)
     entry = catalog.get_case(case_id, lam)
     sol = _solution(entry, kind, nu, c1, c2)
-    text = _grid_csv(sol, reg, n_t, n_x)
+    ts, xs, us = _grid_values(sol, reg, n_t, n_x)
     if fmt == "json":
-        rows = [dict(zip(("t", "x", "u"), map(float, line.split(","))))
-                for line in text.splitlines()[1:]]
+        # + 0.0 writes -0.0 as 0.0, as format_float does in the CSV
+        rows = [{"t": t + 0.0, "x": x + 0.0, "u": u + 0.0} for t, x, u in zip(ts, xs, us)]
         _emit(_json_dumps({"provenance": sol.provenance, "rows": rows}), out)
     else:
-        _emit(text, out)
+        _emit(csv_text(ts, xs, us), out)
 
 
 _WHICH_CHOICES = ("gbe", "pfde", "potential", "reduced", "determining")
@@ -299,11 +319,8 @@ def cmd_solve(case_id, kind, nu, c1, c2, lam, region, nx, dt_safety, out):
     entry = catalog.get_case(case_id, lam)
     sol = _solution(entry, kind, nu, c1, c2)
     spec = IbvpSpec(f=entry.f, region=reg, n_x=nx, dt_safety=dt_safety, exact=sol)
-    num = solve_ibvp(spec)
+    num = _write_levels(march(spec), out) if out else solve_ibvp(spec)
     max_err, l2_err = compare(num, sol)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(num.to_csv())
     click.echo(_json_dumps({"case": entry.id, "solution": sol.provenance,
                             "n_x": nx, "scheme": num.scheme_metadata,
                             "max_err": max_err, "l2_err": l2_err}), nl=False)
@@ -327,11 +344,8 @@ def cmd_convergence(case_id, kind, nu, c1, c2, lam, region, resolutions, dt_safe
                                  param_hint="--resolutions")
     entry = catalog.get_case(case_id, lam)
     sol = _solution(entry, kind, nu, c1, c2)
-    try:
-        spec = IbvpSpec(f=entry.f, region=reg, n_x=res[0], dt_safety=dt_safety, exact=sol)
-        report = convergence_study(spec, res)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
+    spec = IbvpSpec(f=entry.f, region=reg, n_x=res[0], dt_safety=dt_safety, exact=sol)
+    report = convergence_study(spec, res)
     _emit(_json_dumps({"case": entry.id, "solution": sol.provenance,
                        **report.to_dict()}), out)
 

@@ -22,7 +22,7 @@ class, acting on solutions and on the arbitrary element f simultaneously;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .ansatz import SolutionField
 from .jets import Point, ScalarField, SingularPointError, fail_where, refine
 
 _EPS_SINGULAR = 1e-13
+
+#: the fields of an EquivalenceElement, in order
+_KEYS = ("alpha", "beta", "gamma", "delta", "mu0", "mu1", "kappa")
 
 
 @dataclass(frozen=True)
@@ -57,13 +60,8 @@ class EquivalenceElement:
                 if q < 0.0:
                     quad = [-v for v in quad]
                 break
-        object.__setattr__(self, "alpha", quad[0])
-        object.__setattr__(self, "beta", quad[1])
-        object.__setattr__(self, "gamma", quad[2])
-        object.__setattr__(self, "delta", quad[3])
-        object.__setattr__(self, "mu0", float(self.mu0))
-        object.__setattr__(self, "mu1", float(self.mu1))
-        object.__setattr__(self, "kappa", float(self.kappa))
+        for name, v in zip(_KEYS, (*quad, self.mu0, self.mu1, self.kappa)):
+            object.__setattr__(self, name, float(v))
 
     @property
     def det(self) -> float:
@@ -76,17 +74,14 @@ class EquivalenceElement:
         return cls(1.0, 0.0, 0.0, 1.0, mu0=0.0, mu1=mu, kappa=1.0)
 
     def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-                "delta": self.delta, "mu0": self.mu0, "mu1": self.mu1,
-                "kappa": self.kappa}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EquivalenceElement":
-        keys = ("alpha", "beta", "gamma", "delta", "mu0", "mu1", "kappa")
-        missing = [k for k in keys if k not in d]
+        missing = [k for k in _KEYS if k not in d]
         if missing:
             raise ValueError(f"element is missing keys {missing}")
-        return cls(**{k: float(d[k]) for k in keys})
+        return cls(**{k: float(d[k]) for k in _KEYS})
 
 
 def identity() -> EquivalenceElement:

@@ -33,6 +33,7 @@ branch, a vanishing f or theta_x, a projective singularity) goes through it.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partialmethod
 from itertools import repeat
@@ -103,12 +104,15 @@ def format_float(v: float) -> str:
     return f"{v + 0.0:.17g}"
 
 
+def csv_rows(ts, xs, us) -> str:
+    """One CSV line t,x,u per point, floats written by :func:`format_float`."""
+    return "".join(f"{format_float(t)},{format_float(x)},{format_float(u)}\n"
+                   for t, x, u in zip(ts, xs, us))
+
+
 def csv_text(ts, xs, us) -> str:
-    """CSV with the header t,x,u and one row per point, floats written by
-    :func:`format_float`."""
-    rows = (f"{format_float(t)},{format_float(x)},{format_float(u)}"
-            for t, x, u in zip(ts, xs, us))
-    return "\n".join(["t,x,u", *rows]) + "\n"
+    """CSV with the header t,x,u and one row per point."""
+    return "t,x,u\n" + csv_rows(ts, xs, us)
 
 
 def valid_mask(valid: Callable, p: Point) -> np.ndarray:
@@ -568,14 +572,16 @@ class ScalarField:
         point or jet is not finite; a single point raises instead.
         """
         t, x = p
-        if isinstance(t, np.ndarray) or isinstance(x, np.ndarray):
+        array = isinstance(t, np.ndarray) or isinstance(x, np.ndarray)
+        if array:
             t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
         elif not (math.isfinite(t) and math.isfinite(x)):
             raise ValueError(f"non-finite evaluation point {p!r}")
-        with np.errstate(all="ignore"):
+        # only arrays reach numpy; its warnings at bad elements become the NaN mask below
+        with np.errstate(all="ignore") if array else nullcontext():
             r = self._call(Jet3.variable_t(t), Jet3.variable_x(x))
         j = r if isinstance(r, Jet3) else Jet3.constant(r)
-        isfinite = np.isfinite if isinstance(t, np.ndarray) else math.isfinite  # faster on floats
+        isfinite = np.isfinite if array else math.isfinite  # faster on floats
         ok = isfinite(t) & isfinite(x)
         for ci in j.c:
             ok &= isfinite(ci)

@@ -17,13 +17,13 @@ machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .ansatz import SolutionField
-from .jets import EvaluationError, Point, Region, ScalarField, SingularPointError, csv_text
+from .jets import EvaluationError, Point, Region, ScalarField, SingularPointError
 
 #: number of time samples used to probe f (and u data) before stepping
 _PROBE_NT = 65
@@ -71,8 +71,6 @@ class IbvpSpec:
             raise ValueError("provide exactly one of: an exact solution, or "
                              "(initial, left, right) data functions")
 
-    # data accessors used by the stepper
-
     def initial_values(self, xs: np.ndarray) -> np.ndarray:
         if self.exact is not None:
             return _exact_sample(self.exact, self.region.t0, xs)
@@ -94,18 +92,13 @@ def _exact_sample(exact: SolutionField, t: float, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
-class NumericSolution:
-    ts: np.ndarray
-    xs: np.ndarray
-    values: np.ndarray  # shape (len(ts), len(xs))
-    scheme_metadata: str
+class NumericSolution(NamedTuple):
+    """One time level of a march: u on the mesh xs at time t."""
 
-    def to_csv(self) -> str:
-        """Every time level, row-major by time then space."""
-        n_t, n_x = self.values.shape
-        return csv_text(np.repeat(self.ts, n_x).tolist(), np.tile(self.xs, n_t).tolist(),
-                        self.values.ravel().tolist())
+    t: float
+    xs: np.ndarray
+    u: np.ndarray
+    scheme_metadata: str
 
 
 def _probe_f(spec: IbvpSpec, xs: np.ndarray) -> tuple[float, float, Point]:
@@ -125,12 +118,14 @@ def _probe_f(spec: IbvpSpec, xs: np.ndarray) -> tuple[float, float, Point]:
     return fmax, fabs, arg
 
 
-def solve_ibvp(spec: IbvpSpec) -> NumericSolution:
-    """March the IBVP to the final time on a uniform grid.
+def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
+    """March the IBVP on a uniform grid, yielding each time level in order
+    and holding only the one being advanced.
 
     dt = dt_safety * min(dx^2/(2*max|f|), dx/(1 + max|u|)), rounded down so
-    the final step lands exactly on t1.  Deterministic: identical specs
-    produce bit-identical arrays.
+    the final step lands exactly on t1.  Every check runs before level 0, the
+    initial data; later levels carry the Dirichlet data at their ends.
+    Deterministic: identical specs produce bit-identical levels.
     """
     region = spec.region
     xs = np.linspace(region.x0, region.x1, spec.n_x + 1)
@@ -159,53 +154,60 @@ def solve_ibvp(spec: IbvpSpec) -> NumericSolution:
             f"step bound dt = {dt_bound:.3g} needs {n_steps} steps; "
             f"the data or coefficient magnitudes make this problem intractable")
     dt = span / n_steps
-
-    ts = region.t0 + dt * np.arange(n_steps + 1)
-    values = np.empty((n_steps + 1, spec.n_x + 1))
-    values[0] = u0
+    meta = (f"method-of-lines central2 + RK4, n_x={spec.n_x}, dx={dx:.6g}, "
+            f"dt={dt:.6g}, steps={n_steps}, dt_safety={spec.dt_safety}")
 
     inv_2dx = 1.0 / (2.0 * dx)
     inv_dx2 = 1.0 / (dx * dx)
     x_int = xs[1:-1]
 
-    def rhs(bounds: tuple[float, float], fv: np.ndarray, interior: np.ndarray) -> np.ndarray:
-        full = np.empty(spec.n_x + 1)
-        full[0], full[-1] = bounds
-        full[1:-1] = interior
-        ux = (full[2:] - full[:-2]) * inv_2dx
-        uxx = (full[2:] - 2.0 * full[1:-1] + full[:-2]) * inv_dx2
-        return -interior * ux - fv * uxx
+    def rhs(row: np.ndarray, fv: np.ndarray) -> np.ndarray:
+        """du/dt on the interior of a full row whose ends hold the Dirichlet data."""
+        ux = (row[2:] - row[:-2]) * inv_2dx
+        uxx = (row[2:] - 2.0 * row[1:-1] + row[:-2]) * inv_dx2
+        return -row[1:-1] * ux - fv * uxx
 
-    # each stage time is evaluated once: k2 and k3 share the midpoint data,
-    # and the boundary pair of a level, taken at the t of the next k1, serves it
-    u = u0[1:-1].copy()
+    def stage(row: np.ndarray, h: float, k: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
+        """A new row: row + h*k inside, the Dirichlet data at the ends."""
+        out = row.copy()
+        out[1:-1] += h * k
+        out[0], out[-1] = bounds
+        return out
+
     t = float(region.t0)
-    with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
-        bounds = spec.boundary_values(t)
-        for n in range(n_steps):
-            k1 = rhs(bounds, spec.f.sample(t, x_int), u)
+    yield NumericSolution(t, xs, u0, meta)
+    u = u0.copy()
+    u[0], u[-1] = spec.boundary_values(t)  # level 0's ends come from u0, k1's from the data
+    # each stage time is evaluated once: k2 and k3 share the midpoint data,
+    # and the ends of a level, taken at the t of the next k1, serve it
+    for n in range(n_steps):
+        # blow-up is detected below; numpy's error state is never held across a yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = rhs(u, spec.f.sample(t, x_int))
             tm = t + 0.5 * dt
-            mid = (spec.boundary_values(tm), spec.f.sample(tm, x_int))
-            k2 = rhs(*mid, u + 0.5 * dt * k1)
-            k3 = rhs(*mid, u + 0.5 * dt * k2)
-            k4 = rhs(spec.boundary_values(t + dt), spec.f.sample(t + dt, x_int), u + dt * k3)
-            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            mid, fm = spec.boundary_values(tm), spec.f.sample(tm, x_int)
+            k2 = rhs(stage(u, 0.5 * dt, k1, mid), fm)
+            k3 = rhs(stage(u, 0.5 * dt, k2, mid), fm)
+            k4 = rhs(stage(u, dt, k3, spec.boundary_values(t + dt)),
+                     spec.f.sample(t + dt, x_int))
             t = region.t0 + (n + 1) * dt
-            if not np.all(np.isfinite(u)):
-                raise BlowUpError(f"solution blew up between t = {t - dt} and t = {t}",
-                                  last_stable_time=t - dt)
-            bounds = spec.boundary_values(t)
-            values[n + 1, 0], values[n + 1, -1] = bounds
-            values[n + 1, 1:-1] = u
+            u = stage(u, dt / 6.0, k1 + 2.0 * k2 + 2.0 * k3 + k4, spec.boundary_values(t))
+        if not np.all(np.isfinite(u[1:-1])):
+            raise BlowUpError(f"solution blew up between t = {t - dt} and t = {t}",
+                              last_stable_time=t - dt)
+        yield NumericSolution(t, xs, u, meta)
 
-    meta = (f"method-of-lines central2 + RK4, n_x={spec.n_x}, dx={dx:.6g}, "
-            f"dt={dt:.6g}, steps={n_steps}, dt_safety={spec.dt_safety}")
-    return NumericSolution(ts=ts, xs=xs, values=values, scheme_metadata=meta)
+
+def solve_ibvp(spec: IbvpSpec) -> NumericSolution:
+    """The last time level of :func:`march`."""
+    for num in march(spec):
+        pass
+    return num
 
 
 def compare(num: NumericSolution, exact: SolutionField) -> tuple[float, float]:
-    """(max, RMS) error against the exact solution at the final time."""
-    diff = num.values[-1] - _exact_sample(exact, float(num.ts[-1]), num.xs)
+    """(max, RMS) error of a time level against the exact solution."""
+    diff = num.u - _exact_sample(exact, num.t, num.xs)
     return (float(np.max(np.abs(diff))), float(np.sqrt(np.mean(diff * diff))))
 
 
@@ -220,15 +222,7 @@ class ConvergenceReport:
     non_monotone: bool    # errors did not decrease under refinement
 
     def to_dict(self) -> dict:
-        return {
-            "resolutions": list(self.resolutions),
-            "dx_values": list(self.dx_values),
-            "max_errors": list(self.max_errors),
-            "l2_errors": list(self.l2_errors),
-            "observed_order": self.observed_order,
-            "degenerate": self.degenerate,
-            "non_monotone": self.non_monotone,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 #: errors below this are considered to sit on the roundoff floor
@@ -257,8 +251,7 @@ def convergence_study(spec_template: IbvpSpec,
 
     span = spec_template.region.x1 - spec_template.region.x0
     dxs = [span / n for n in res]
-    max_errs = [e[0] for e in errors]
-    l2_errs = [e[1] for e in errors]
+    max_errs, l2_errs = (list(c) for c in zip(*errors))
 
     degenerate = any(e <= _DEGENERATE_FLOOR for e in max_errs)
     non_monotone = any(b >= a for a, b in zip(max_errs, max_errs[1:]))

@@ -32,7 +32,7 @@ bit-identical to the residual of that point taken alone (array jets, see
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -319,13 +319,7 @@ class SweepReport:
     scale_used: str = "relative"
 
     def to_dict(self) -> dict:
-        return {
-            "max_abs_residual": self.max_abs_residual,
-            "argmax": {"t": self.argmax.t, "x": self.argmax.x},
-            "points_checked": self.points_checked,
-            "points_skipped": self.points_skipped,
-            "scale_used": self.scale_used,
-        }
+        return {**asdict(self), "argmax": self.argmax._asdict()}
 
 
 def sweep(residual_fn: Callable[[Point], float], region: Region,

@@ -103,7 +103,8 @@ class TestRiccatiIdentity:
 
 
 def test_array_jet_matches_each_point():
-    # nu < 0 splits the elements by the sign of omega; poles become NaN
+    # nu < 0 picks the exponential that decays for each element's sign of
+    # omega, in one formula; poles become NaN
     values = [-400.0, -1.0, -0.5, 0.0, 0.5, 1.0, 400.0, math.pi / 2]
     omega = Jet3.variable_x(np.array(values)) * 1.0
     branches = [RiccatiBranch(-1.0, 1.0, 1.0), RiccatiBranch(-2.0, 1.0, -0.3),
@@ -123,8 +124,8 @@ def test_array_jet_matches_each_point():
 
 
 def test_plain_array_poles_are_nan():
-    # a plain array is split by sign like an array jet; a pole is NaN there,
-    # where a float raises
+    # a plain array takes the same one formula as an array jet; a pole is NaN
+    # there, where a float raises
     values = np.array([-400.0, -1.0, -0.5, 0.0, 0.5, 1.0, 400.0, math.pi / 2, math.nan])
     branches = [RiccatiBranch(-1.0, 1.0, 1.0), RiccatiBranch(-1.0, 1.0, -1.0),
                 RiccatiBranch(0.0, 1.0, 1.0), RiccatiBranch(1.0, 1.0, 0.0)]

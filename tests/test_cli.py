@@ -6,7 +6,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from gburgers.cli import cli
+from gburgers.cli import _write_levels, cli
+from gburgers.jets import Region, ScalarField
+from gburgers.numsolve import BlowUpError, IbvpSpec, march
 
 BOOST = '{"alpha":1,"beta":0,"gamma":0,"delta":1,"mu0":0,"mu1":3,"kappa":1}'
 IDENTITY = '{"alpha":1,"beta":0,"gamma":0,"delta":1,"mu0":0,"mu1":0,"kappa":1}'
@@ -43,7 +45,7 @@ class TestList:
 
     def test_out_of_range(self, runner):
         res = runner.invoke(cli, ["list", "--case", "0"])
-        assert res.exit_code != 0
+        assert res.exit_code == 2
 
 
 class TestEval:
@@ -76,6 +78,14 @@ class TestEval:
         data = json.loads(res.output)
         assert len(data["rows"]) == 9
         assert data["provenance"] == "xi-as-solution(case 2)"
+
+    def test_json_writes_negative_zero_as_zero(self, runner):
+        # u(t, 0) of this front is -0.0, which the CSV writes as 0
+        res = run(runner, "eval", "--case", "2", "--nu", "-1", "--region", "0,1,-2,2",
+                  "--res", "3x3", "--format", "json")
+        rows = json.loads(res.output)["rows"]
+        assert [r["u"] for r in rows if r["x"] == 0.0] == [0.0] * 3
+        assert "-0.0" not in res.output
 
     def test_bad_region_is_usage_error(self, runner):
         res = runner.invoke(cli, ["eval", "--case", "2", "--region", "0,1", "--res", "3x3"])
@@ -160,13 +170,28 @@ class TestSolveAndConvergence:
         assert res.exit_code == 3
         assert "strictly negative" in res.output
 
-    def test_pole_of_the_exact_solution_exits_3(self, runner):
+    def test_pole_of_the_exact_solution_exits_3(self, runner, tmp_path):
         # theta = x of case 2 puts the pole of this branch on the mesh line x = 1/2
         pole = ["--case", "2", "--nu", "0", "--c1=-0.5", "--c2", "1", "--region", "0,0.2,-1,1"]
+        out = tmp_path / "levels.csv"
         for args in (["solve", *pole, "--nx", "16"],
+                     ["solve", *pole, "--nx", "16", "--out", str(out)],
                      ["convergence", *pole, "--resolutions", "16,32,64"]):
             res = runner.invoke(cli, args)
             assert res.exit_code == 3 and res.stderr.startswith("error: "), args
+        assert not out.exists()
+
+    def test_blow_up_mid_march_leaves_no_file(self, tmp_path):
+        # boundary data spiking between the probe times overflow after some
+        # levels were written
+        spiky = IbvpSpec(f=ScalarField(lambda t, x: -1.0), region=Region(0.0, 1.0, -1.0, 1.0),
+                         n_x=16, initial=lambda xs: 0.0 * xs,
+                         left=lambda t: 1e200 if 0.408 < t < 0.420 else 0.0,
+                         right=lambda t: 0.0)
+        out = tmp_path / "levels.csv"
+        with pytest.raises(BlowUpError):
+            _write_levels(march(spiky), str(out))
+        assert not out.exists()
 
     def test_convergence_table(self, runner):
         res = run(runner, "convergence", "--case", "2", "--nu", "-1", "--region",
@@ -179,6 +204,24 @@ class TestSolveAndConvergence:
         res = runner.invoke(cli, ["convergence", "--case", "2", "--region",
                                   "0,0.2,-1,1", "--resolutions", "16,20"])
         assert res.exit_code == 2
+
+
+class TestUsageErrors:
+    REGION = ["--region", "0,0.2,-1,1"]
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--case", "99", *REGION],
+        ["verify", "--case", "99", "--which", "pfde"],
+        ["eval", "--case", "2", "--lambda", "3", *REGION],
+        ["solve", "--case", "2", *REGION, "--nx", "4"],
+        ["solve", "--case", "2", *REGION, "--dt-safety", "2"],
+        ["solve", "--case", "2", *REGION, "--c1", "0", "--c2", "0"],
+    ], ids=lambda args: " ".join(args))
+    def test_bad_input_exits_2_without_a_traceback(self, args):
+        res = CliRunner().invoke(cli, args)
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+        assert "Error: " in res.stderr
 
 
 class TestDeterminism:

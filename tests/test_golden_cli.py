@@ -99,6 +99,12 @@ def _same_build(recorded: dict) -> bool:
         recorded["python"].rsplit(".", 1)[0] == here["python"].rsplit(".", 1)[0]
 
 
+# the CSV of every time level of this solve (the header and 561 rows), pinned
+# by its digest like the outputs in the fixture
+SOLVE_OUT = ["solve", "--case", "2", "--nu=-1", "--region", "0,0.2,-1,1", "--nx", "16"]
+SOLVE_OUT_SHA256 = "d802620fbb97612c95bfd203c683f51f0e0f892797295c28b011f80a85ea6f08"
+
+
 def test_fixture_covers_every_invocation():
     assert [g["args"] for g in GOLDEN] == INVOCATIONS
 
@@ -109,6 +115,18 @@ def test_output_is_byte_identical(golden):
     if not _same_build(recorded):
         pytest.skip(f"digests were recorded with {recorded}, not {environment()}")
     assert outcome(golden["args"]) == golden
+
+
+def test_solve_out_file_is_byte_identical(tmp_path):
+    recorded = FIXTURE_DATA["recorded_with"]
+    if not _same_build(recorded):
+        pytest.skip(f"digests were recorded with {recorded}, not {environment()}")
+    out = tmp_path / "levels.csv"
+    res = CliRunner().invoke(cli, [*SOLVE_OUT, "--out", str(out)], catch_exceptions=False)
+    assert res.exit_code == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == 562
+    assert hashlib.sha256(data).hexdigest() == SOLVE_OUT_SHA256
 
 
 if __name__ == "__main__":

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from gburgers.ansatz import RiccatiBranch, SolutionField, build_solution, xi_solution
 from gburgers.catalog import get_case
+from gburgers.cli import cli
 from gburgers.jets import EvaluationError, Region, ScalarField, SingularPointError
 from gburgers.numsolve import (BlowUpError, IbvpSpec, WellPosednessError, compare,
-                               convergence_study, solve_ibvp)
+                               convergence_study, march, solve_ibvp)
 
 F_MINUS_ONE = ScalarField(lambda T, X: -1.0, name="-1")
 
@@ -46,8 +49,21 @@ class TestSolve:
         max_err, l2_err = compare(num, sol)
         assert max_err <= 1e-3
         assert l2_err <= max_err
-        assert num.values.shape == (len(num.ts), 65)
-        assert num.ts[0] == 0.0 and num.ts[-1] == pytest.approx(1.0)
+        assert num.u.shape == num.xs.shape == (65,)
+        assert next(march(spec)).t == 0.0 and num.t == pytest.approx(1.0)
+
+    def test_level_0_is_the_initial_data(self):
+        # data whose ends disagree with the boundary data: level 0 keeps the
+        # initial values, every later level takes its ends from the boundary
+        spec = IbvpSpec(f=F_MINUS_ONE, region=Region(0.0, 0.01, -1.0, 1.0), n_x=16,
+                        initial=lambda xs: 0.0 * xs + 1.0, left=lambda t: 2.0,
+                        right=lambda t: 3.0)
+        levels = march(spec)
+        first = next(levels)
+        assert first.t == 0.0
+        assert np.array_equal(first.u, np.ones(17))
+        for num in levels:
+            assert (num.u[0], num.u[-1]) == (2.0, 3.0)
 
     def test_positive_f_rejected(self):
         f_plus = ScalarField(lambda T, X: 1.0)
@@ -73,17 +89,23 @@ class TestSolve:
                         dt_safety=0.01,
                         initial=lambda xs: 0.0 * xs, left=lambda t: 0.0,
                         right=lambda t: 0.0)
-        num = solve_ibvp(spec)
-        assert len(num.ts) - 1 >= 10_000
-        assert float(np.max(np.abs(num.values))) <= 1e-12
+        levels = 0
+        drift = 0.0
+        for num in march(spec):
+            levels += 1
+            drift = max(drift, float(np.max(np.abs(num.u))))
+        assert levels - 1 >= 10_000
+        assert drift <= 1e-12
 
     def test_deterministic(self):
         spec, _ = tanh_front_spec(n_x=32)
-        a = solve_ibvp(spec)
-        b = solve_ibvp(spec)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.ts, b.ts)
-        assert a.scheme_metadata == b.scheme_metadata
+        levels = 0
+        for a, b in zip(march(spec), march(spec), strict=True):
+            levels += 1
+            assert np.array_equal(a.u, b.u)
+            assert a.t == b.t
+            assert a.scheme_metadata == b.scheme_metadata
+        assert levels > 1
 
     def test_blow_up_detected(self):
         # boundary data with a spike between the pre-step probe samples
@@ -106,16 +128,38 @@ class TestSolve:
         with pytest.raises(ValueError, match="intractable"):
             solve_ibvp(spec)
 
-    def test_csv_export_shape(self):
+    def test_csv_export_shape(self, tmp_path):
+        # the spec of tanh_front_spec(n_x=8) on t in [0, 0.01], x in [-1, 1]
+        out = tmp_path / "levels.csv"
+        res = CliRunner().invoke(cli, ["solve", "--case", "2", "--nu=-1", "--c1", "1",
+                                       "--c2", "1", "--region", "0,0.01,-1,1", "--nx", "8",
+                                       "--out", str(out)], catch_exceptions=False)
+        assert res.exit_code == 0
         spec, _ = tanh_front_spec(n_x=8, region=Region(0.0, 0.01, -1.0, 1.0))
-        num = solve_ibvp(spec)
-        lines = num.to_csv().strip().split("\n")
+        levels = list(march(spec))
+        lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,x,u"
-        assert len(lines) == 1 + len(num.ts) * 9
+        assert len(lines) == 1 + len(levels) * 9
         # row-major by time then space
         first = lines[1].split(",")
         assert float(first[0]) == 0.0 and float(first[1]) == -1.0
+        assert [float(line.split(",")[0]) for line in lines[9:11]] == [0.0, levels[1].t]
         assert all(field != "-0" for line in lines[1:] for field in line.split(","))
+
+    def test_one_level_in_memory(self):
+        # criterion 9's case-7 solve at n_x = 128: 23,040 steps, whose
+        # history of every level would take 22.7 MiB
+        entry = get_case(7)
+        spec = IbvpSpec(f=entry.f, region=Region(1.0, 1.5, 1.0, 3.0), n_x=128,
+                        exact=build_solution(entry, RiccatiBranch(0.0, 4.0, 1.0)))
+        tracemalloc.start()
+        try:
+            num = solve_ibvp(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "steps=23040" in num.scheme_metadata
+        assert peak < 2**20
 
 
 class TestManufacturedDataOnAPole:

@@ -138,7 +138,7 @@ def _build_case5(lam: float) -> CatalogEntry:
         raise ValueError(
             f"case 5 with lambda={lam} is singular at the quadrature anchor w={CASE5_W0}")
 
-    theta_int = Antiderivative(lambda w: 1.0 / den(w), CASE5_W0, abs_tol=1e-12)
+    theta_int = Antiderivative(lambda w: 1.0 / den(w), CASE5_W0)
 
     def off_rays(p: Point):
         # off the rays where den(x/t) vanishes, and on the anchor's side of each

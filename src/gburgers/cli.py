@@ -48,7 +48,8 @@ def _json_dumps(obj) -> str:
 
 def domain_errors_to_exit(fn):
     """Domain errors exit 3; a ValueError, which the library raises only for
-    bad input (case ids, parameters, grid sizes), is a usage error (exit 2)."""
+    bad input (case ids, parameters, grid sizes), is a usage error (exit 2),
+    and so is an error naming a file, which only opening ``--out`` raises."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
@@ -58,6 +59,11 @@ def domain_errors_to_exit(fn):
             sys.exit(EXIT_DOMAIN)
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
+        except OSError as exc:
+            if exc.filename is None:
+                raise
+            raise click.BadParameter(f"cannot write {exc.filename}: {exc.strerror}",
+                                     param_hint="--out") from exc
     return wrapper
 
 
@@ -114,8 +120,9 @@ def _write_levels(levels, out: str) -> NumericSolution:
     """Write every level of a march to ``out`` as CSV, row-major by time then
     space, and return the last.  A march that fails leaves no file."""
     num = next(levels)  # a march makes all of its checks before its first level
+    fh = open(out, "w")  # outside the try: only a file this run opened is removed
     try:
-        with open(out, "w") as fh:
+        with fh:
             fh.write(csv_text([num.t] * num.xs.size, num.xs.tolist(), num.u.tolist()))
             for num in levels:
                 fh.write(csv_rows([num.t] * num.xs.size, num.xs.tolist(), num.u.tolist()))
@@ -167,16 +174,13 @@ def cli():
 def cmd_list(case_id, lam, fmt, out):
     """List the built-in catalog of (f, xi, theta) triples."""
     if case_id is not None:
-        entries = [catalog.get_case(case_id, lam)]
+        rows = [catalog.get_case(case_id, lam).to_dict()]
     else:
-        entries = catalog.iter_cases(lam)
-    rows = [e.to_dict() for e in entries]
+        rows = catalog.catalog_json(lam)
     if fmt == "json":
         _emit(_json_dumps(rows), out)
         return
-    w_f = max(len(r["f_expr"]) for r in rows)
-    w_xi = max(len(r["xi_expr"]) for r in rows)
-    w_th = max(len(r["theta_expr"]) for r in rows)
+    w_f, w_xi, w_th = (max(len(r[k]) for r in rows) for k in ("f_expr", "xi_expr", "theta_expr"))
     lines = [f"{'N':>2}  {'f':<{w_f}}  {'xi':<{w_xi}}  {'theta':<{w_th}}  singular set"]
     for r in rows:
         lines.append(f"{r['id']:>2}  {r['f_expr']:<{w_f}}  {r['xi_expr']:<{w_xi}}  "
@@ -350,9 +354,5 @@ def cmd_convergence(case_id, kind, nu, c1, c2, lam, region, resolutions, dt_safe
                        **report.to_dict()}), out)
 
 
-def main() -> None:
-    cli()
-
-
 if __name__ == "__main__":
-    main()
+    cli()

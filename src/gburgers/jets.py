@@ -152,6 +152,7 @@ _POS = {ij: n for n, ij in enumerate(_IDX)}
 
 _ELEMENT_ERRORS = (ArithmeticError, ValueError, EvaluationError)
 _NUMBER = (int, float, np.ndarray)  # numbers to Jet3's +, - and *; an array per element
+_QUAD_TOL = 1e-12  # absolute and relative tolerance of Antiderivative's quadrature
 
 
 def _coeff(v):
@@ -638,9 +639,9 @@ class ScalarField:
         return ScalarField(lambda t, x: -self.expr(t, x), name=f"(-{self.name})")
 
 
-def constant_field(v: float, name: str = "") -> ScalarField:
+def constant_field(v: float) -> ScalarField:
     v = float(v)
-    return ScalarField(lambda t, x: v, name=name or f"{v:g}")
+    return ScalarField(lambda t, x: v, name=f"{v:g}")
 
 
 def fd_jet(field: ScalarField, p: Point, h: float = 1e-4) -> Jet3:
@@ -691,10 +692,9 @@ class Antiderivative:
     quadrature fails.
     """
 
-    def __init__(self, integrand: Callable, w0: float, abs_tol: float = 1e-12):
+    def __init__(self, integrand: Callable, w0: float):
         self.integrand = integrand
         self.w0 = float(w0)
-        self.abs_tol = abs_tol
         self._cache: dict[float, float] = {}
 
     def _value(self, w: float) -> float:
@@ -708,7 +708,7 @@ class Antiderivative:
         from scipy.integrate import quad  # imported on first use: it is slow to import
         try:
             val, _ = quad(self.integrand, self.w0, w,
-                          epsabs=self.abs_tol, epsrel=self.abs_tol, limit=200)
+                          epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
         except Exception as exc:  # scipy signals bad integrands in several ways
             raise EvaluationError(f"quadrature failed on [{self.w0}, {w}]: {exc}") from exc
         if not math.isfinite(val):

@@ -7,18 +7,18 @@ convention u_t = -u*u_x - f*u_xx, forward integration is diffusive only
 for f < 0, so specs are rejected unless f stays strictly negative on the
 region.
 
-In manufactured-solution mode the initial and boundary data are sampled
-from an exact solution, so the measured error is pure discretization
-error; refining the grid must then show second-order convergence, which is
-an end-to-end cross-check of the closed forms that never touches the jet
-machinery.
+The oracle is manufactured-only: the initial and boundary data are
+sampled from the exact solution being checked, so the measured error is
+pure discretization error; refining the grid must then show second-order
+convergence, which is an end-to-end cross-check of the closed forms that
+never touches the jet machinery.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,43 +44,30 @@ class BlowUpError(Exception):
 
 @dataclass(frozen=True)
 class IbvpSpec:
-    """One initial-boundary-value problem on a space-time rectangle.
+    """One initial-boundary-value problem on a space-time rectangle, with
+    its initial and Dirichlet data taken from the exact solution ``exact``.
 
-    Either ``exact`` (manufactured-solution mode) or all three of
-    ``initial``/``left``/``right`` must be provided.
+    ``f`` is the coefficient the march integrates with; it is normally
+    ``exact.f``, and a different one makes a negative control.
     """
 
     f: ScalarField
     region: Region
     n_x: int
+    exact: SolutionField
     dt_safety: float = 0.8
-    exact: Optional[SolutionField] = None
-    initial: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    left: Optional[Callable[[float], float]] = None
-    right: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
         if self.n_x < 8:
             raise ValueError("n_x must be at least 8")
         if not 0.0 < self.dt_safety <= 1.0:
             raise ValueError("dt_safety must lie in (0, 1]")
-        manufactured = self.exact is not None
-        explicit = (self.initial is not None and self.left is not None
-                    and self.right is not None)
-        if manufactured == explicit:
-            raise ValueError("provide exactly one of: an exact solution, or "
-                             "(initial, left, right) data functions")
 
     def initial_values(self, xs: np.ndarray) -> np.ndarray:
-        if self.exact is not None:
-            return _exact_sample(self.exact, self.region.t0, xs)
-        return np.asarray(self.initial(xs), dtype=float)
+        return _exact_sample(self.exact, self.region.t0, xs)
 
     def boundary_values(self, t: float) -> tuple[float, float]:
-        if self.exact is not None:
-            return (self.exact.u.value(t, self.region.x0),
-                    self.exact.u.value(t, self.region.x1))
-        return (float(self.left(t)), float(self.right(t)))
+        return (self.exact.u.value(t, self.region.x0), self.exact.u.value(t, self.region.x1))
 
 
 def _exact_sample(exact: SolutionField, t: float, xs: np.ndarray) -> np.ndarray:
@@ -142,9 +129,8 @@ def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
     for t in np.linspace(region.t0, region.t1, _PROBE_NT):
         bl, br = spec.boundary_values(float(t))
         umax = max(umax, abs(bl), abs(br))
-    if spec.exact is not None:
-        for t in np.linspace(region.t0, region.t1, 9):
-            umax = max(umax, float(np.max(np.abs(_exact_sample(spec.exact, float(t), xs)))))
+    for t in np.linspace(region.t0, region.t1, 9):
+        umax = max(umax, float(np.max(np.abs(_exact_sample(spec.exact, float(t), xs)))))
 
     span = region.t1 - region.t0
     dt_bound = spec.dt_safety * min(dx * dx / (2.0 * fabs), dx / (1.0 + umax))
@@ -243,8 +229,6 @@ def convergence_study(spec_template: IbvpSpec,
     for a, b in zip(res, res[1:]):
         if b < 2 * a:
             raise ValueError(f"resolutions must at least double: {a} -> {b}")
-    if spec_template.exact is None:
-        raise ValueError("convergence studies need an exact solution to compare against")
 
     errors = [compare(solve_ibvp(replace(spec_template, n_x=n)), spec_template.exact)
               for n in res]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .jets import (EvaluationError, Jet3, Point, Region, ScalarField, constant_f
 #: f must stay this far from zero before 1/f-terms are formed
 EPS_COEFF = 1e-13
 
-#: default u-samples for the fifth determining equation; the residual is a
+#: u-samples for the fifth determining equation; the residual is a
 #: polynomial of degree <= 4 in u, so vanishing at five distinct samples is
 #: equivalent to identical vanishing.
 U_SAMPLES = (-2.0, -0.5, 0.0, 0.5, 2.0)
@@ -218,13 +218,12 @@ class DeterminingResiduals:
 
 
 def determining_residuals(f: ScalarField, coeffs: ReductionOperatorCoefficients,
-                          p: Point, u_samples: Sequence[float] = U_SAMPLES,
-                          jet_fn: Optional[JetFn] = None) -> DeterminingResiduals:
+                          p: Point, jet_fn: Optional[JetFn] = None) -> DeterminingResiduals:
     """Evaluate all five determining equations at p.
 
     The first four are split equations on the coefficient fields; the fifth
     couples eta back in and is polynomial of degree <= 4 in u, so it is
-    evaluated at ``u_samples`` and reported as the max over samples.  At an
+    evaluated at :data:`U_SAMPLES` and reported as the max over samples.  At an
     array point, all five residuals are NaN where f vanishes or a jet fails.
     """
     F, = _jets(jet_fn, p, f)
@@ -253,7 +252,7 @@ def determining_residuals(f: ScalarField, coeffs: ReductionOperatorCoefficients,
     P2 = J1.deriv_x() + (J1 * J0) / F
     re_best = -1.0
     se_best = 1.0
-    for u in u_samples:
+    for u in U_SAMPLES:
         ETA = P3 * (u ** 3) + P2 * (u * u) + H1 * u + H0
         xi_v = x1 * u + x0
         xi_x = x1x * u + x0x
@@ -316,16 +315,14 @@ class SweepReport:
     argmax: Point
     points_checked: int
     points_skipped: int
-    scale_used: str = "relative"
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "argmax": self.argmax._asdict()}
+        return {**asdict(self), "argmax": self.argmax._asdict(), "scale_used": "relative"}
 
 
 def sweep(residual_fn: Callable[[Point], float], region: Region,
           n_t: int, n_x: int,
-          valid: Optional[Callable[[Point], bool]] = None,
-          scale_used: str = "relative") -> SweepReport:
+          valid: Optional[Callable[[Point], bool]] = None) -> SweepReport:
     """Max |residual_fn| over the inclusive uniform n_t x n_x grid.
 
     ``valid`` is a validity predicate (see :func:`gburgers.jets.valid_mask`)
@@ -365,5 +362,4 @@ def sweep(residual_fn: Callable[[Point], float], region: Region,
         raise EmptySweepError(
             f"no valid points in {region} on a {n_t}x{n_x} grid ({skipped} skipped)")
     k = finite[int(np.argmax(r[finite]))]
-    return SweepReport(float(r[k]), Point(float(T[k]), float(X[k])), checked, skipped,
-                       scale_used)
+    return SweepReport(float(r[k]), Point(float(T[k]), float(X[k])), checked, skipped)

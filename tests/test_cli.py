@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from gburgers.ansatz import SolutionField
 from gburgers.cli import _write_levels, cli
 from gburgers.jets import Region, ScalarField
 from gburgers.numsolve import BlowUpError, IbvpSpec, march
@@ -182,16 +184,31 @@ class TestSolveAndConvergence:
         assert not out.exists()
 
     def test_blow_up_mid_march_leaves_no_file(self, tmp_path):
-        # boundary data spiking between the probe times overflow after some
-        # levels were written
-        spiky = IbvpSpec(f=ScalarField(lambda t, x: -1.0), region=Region(0.0, 1.0, -1.0, 1.0),
-                         n_x=16, initial=lambda xs: 0.0 * xs,
-                         left=lambda t: 1e200 if 0.408 < t < 0.420 else 0.0,
-                         right=lambda t: 0.0)
+        # data spiking between the probe times overflow after some levels
+        # were written
+        f = ScalarField(lambda t, x: -1.0)
+        u = ScalarField(lambda t, x: 0.0 * x + (1e200 if 0.408 < t < 0.420 else 0.0))
+        spiky = IbvpSpec(f=f, region=Region(0.0, 1.0, -1.0, 1.0), n_x=16,
+                         exact=SolutionField(u=u, f=f, provenance="spike",
+                                             valid=lambda p: True))
         out = tmp_path / "levels.csv"
         with pytest.raises(BlowUpError):
             _write_levels(march(spiky), str(out))
         assert not out.exists()
+
+    def test_a_file_that_cannot_be_opened_is_kept(self, runner, tmp_path, monkeypatch):
+        # only a file this run opened is removed when the run fails
+        keep = tmp_path / "keep.csv"
+        keep.write_text("earlier run\n")
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr("gburgers.cli.open", refuse, raising=False)
+        res = runner.invoke(cli, ["solve", "--case", "2", "--nu=-1", "--region", "0,0.01,-1,1",
+                                  "--nx", "8", "--out", str(keep)])
+        assert keep.read_text() == "earlier run\n"
+        assert res.exit_code == 2
 
     def test_convergence_table(self, runner):
         res = run(runner, "convergence", "--case", "2", "--nu", "-1", "--region",
@@ -222,6 +239,21 @@ class TestUsageErrors:
         assert res.exit_code == 2
         assert "Traceback" not in res.output
         assert "Error: " in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["list"],
+        ["verify", "--case", "7", "--which", "pfde", "--res", "9x9"],
+        ["solve", "--case", "2", "--nu=-1", *REGION, "--nx", "8"],
+        ["convergence", "--case", "2", "--nu=-1", *REGION, "--resolutions", "8,16,32"],
+    ], ids=lambda args: args[0])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_exits_2_without_a_traceback(self, args, where, tmp_path):
+        out = tmp_path / "missing" / "out" if where == "missing directory" else tmp_path
+        res = CliRunner().invoke(cli, [*args, "--out", str(out)])
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert f"cannot write {out}" in res.stderr
 
 
 class TestDeterminism:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gburgers.ansatz import RiccatiBranch, SolutionField, build_solution, xi_solution
+from gburgers.ansatz import (RiccatiBranch, SolutionField, build_solution, rational_solution,
+                             xi_solution)
 from gburgers.catalog import get_case
 from gburgers.cli import cli
 from gburgers.jets import EvaluationError, Region, ScalarField, SingularPointError
@@ -13,6 +14,19 @@ from gburgers.numsolve import (BlowUpError, IbvpSpec, WellPosednessError, compar
                                convergence_study, march, solve_ibvp)
 
 F_MINUS_ONE = ScalarField(lambda T, X: -1.0, name="-1")
+
+#: u = 0 with f = -1 (case 2's xi)
+ZERO_SOL = xi_solution(get_case(2))
+
+
+def solution(u):
+    """An exact solution given by u alone, for data the march reads but never checks."""
+    return SolutionField(u=ScalarField(u), f=F_MINUS_ONE, provenance="test data",
+                         valid=lambda p: True)
+
+
+#: u is 1e200 for 0.408 < t < 0.420 and 0 elsewhere
+SPIKE = solution(lambda T, X: 0.0 * X + (1e200 if 0.408 < T < 0.420 else 0.0))
 
 
 def tanh_front_spec(n_x=64, region=Region(0.0, 1.0, -2.0, 2.0)):
@@ -33,13 +47,9 @@ class TestSpecValidation:
                 IbvpSpec(f=F_MINUS_ONE, region=Region(0, 1, 0, 1), n_x=16,
                          dt_safety=bad, exact=xi_solution(get_case(2)))
 
-    def test_exactly_one_data_source(self):
-        with pytest.raises(ValueError):
+    def test_exact_solution_required(self):
+        with pytest.raises(TypeError):
             IbvpSpec(f=F_MINUS_ONE, region=Region(0, 1, 0, 1), n_x=16)
-        with pytest.raises(ValueError):
-            IbvpSpec(f=F_MINUS_ONE, region=Region(0, 1, 0, 1), n_x=16,
-                     exact=xi_solution(get_case(2)),
-                     initial=lambda xs: 0 * xs, left=lambda t: 0.0, right=lambda t: 0.0)
 
 
 class TestSolve:
@@ -53,11 +63,16 @@ class TestSolve:
         assert next(march(spec)).t == 0.0 and num.t == pytest.approx(1.0)
 
     def test_level_0_is_the_initial_data(self):
-        # data whose ends disagree with the boundary data: level 0 keeps the
+        # a u whose array samples (the initial data) are 1 and whose point
+        # values (the boundary data) are 2 and 3 at the ends: level 0 keeps the
         # initial values, every later level takes its ends from the boundary
+        def u(T, X):
+            if isinstance(X, np.ndarray):
+                return 0.0 * X + 1.0
+            return 2.0 if X < 0.0 else 3.0
+
         spec = IbvpSpec(f=F_MINUS_ONE, region=Region(0.0, 0.01, -1.0, 1.0), n_x=16,
-                        initial=lambda xs: 0.0 * xs + 1.0, left=lambda t: 2.0,
-                        right=lambda t: 3.0)
+                        exact=solution(u))
         levels = march(spec)
         first = next(levels)
         assert first.t == 0.0
@@ -68,8 +83,7 @@ class TestSolve:
     def test_positive_f_rejected(self):
         f_plus = ScalarField(lambda T, X: 1.0)
         spec = IbvpSpec(f=f_plus, region=Region(0, 1, -1, 1), n_x=16,
-                        initial=lambda xs: 0 * xs, left=lambda t: 0.0,
-                        right=lambda t: 0.0)
+                        exact=rational_solution(1.0, 2.0, f_plus))
         with pytest.raises(WellPosednessError) as err:
             solve_ibvp(spec)
         assert "strictly negative" in str(err.value)
@@ -77,18 +91,15 @@ class TestSolve:
     def test_sign_indefinite_f_rejected_with_location(self):
         f_mixed = ScalarField(lambda T, X: X)  # positive for x > 0
         spec = IbvpSpec(f=f_mixed, region=Region(0, 1, -2, 2), n_x=16,
-                        initial=lambda xs: 0 * xs, left=lambda t: 0.0,
-                        right=lambda t: 0.0)
+                        exact=rational_solution(1.0, 2.0, f_mixed))
         with pytest.raises(WellPosednessError) as err:
             solve_ibvp(spec)
         assert "(0, 2)" in str(err.value)  # names the offending point
 
     def test_zero_data_stays_zero_for_many_steps(self):
         # >= 1e4 steps without drift above 1e-12
-        spec = IbvpSpec(f=F_MINUS_ONE, region=Region(0.0, 0.8, -1.0, 1.0), n_x=16,
-                        dt_safety=0.01,
-                        initial=lambda xs: 0.0 * xs, left=lambda t: 0.0,
-                        right=lambda t: 0.0)
+        spec = IbvpSpec(f=ZERO_SOL.f, region=Region(0.0, 0.8, -1.0, 1.0), n_x=16,
+                        dt_safety=0.01, exact=ZERO_SOL)
         levels = 0
         drift = 0.0
         for num in march(spec):
@@ -108,23 +119,17 @@ class TestSolve:
         assert levels > 1
 
     def test_blow_up_detected(self):
-        # boundary data with a spike between the pre-step probe samples
-        # (multiples of 1/64) but wider than dt: overflow mid-integration
-        def spiky_left(t):
-            return 1e200 if 0.408 < t < 0.420 else 0.0
-
+        # data with a spike between the pre-step probe times (multiples of
+        # 1/64 and of 1/8) but wider than dt: overflow mid-integration
         spec = IbvpSpec(f=F_MINUS_ONE, region=Region(0.0, 1.0, -1.0, 1.0), n_x=16,
-                        initial=lambda xs: 0.0 * xs, left=spiky_left,
-                        right=lambda t: 0.0)
+                        exact=SPIKE)
         with pytest.raises(BlowUpError) as err:
             solve_ibvp(spec)
         assert 0.0 <= err.value.last_stable_time <= 0.45
 
     def test_absurd_step_counts_rejected(self):
-        huge = 1e160
         spec = IbvpSpec(f=F_MINUS_ONE, region=Region(0.0, 1.0, -1.0, 1.0), n_x=16,
-                        initial=lambda xs: huge * xs, left=lambda t: -huge,
-                        right=lambda t: huge)
+                        exact=solution(lambda T, X: 1e160 * X))
         with pytest.raises(ValueError, match="intractable"):
             solve_ibvp(spec)
 
@@ -193,13 +198,9 @@ class TestManufacturedDataOnAPole:
 
 class TestCompare:
     def test_compare_zero_to_zero(self):
-        spec = IbvpSpec(f=F_MINUS_ONE, region=Region(0.0, 0.1, -1.0, 1.0), n_x=16,
-                        initial=lambda xs: 0.0 * xs, left=lambda t: 0.0,
-                        right=lambda t: 0.0)
-        num = solve_ibvp(spec)
-        zero_sol = SolutionField(u=ScalarField(lambda T, X: 0.0), f=F_MINUS_ONE,
-                                 provenance="zero", valid=lambda p: True)
-        assert compare(num, zero_sol) == (0.0, 0.0)
+        spec = IbvpSpec(f=ZERO_SOL.f, region=Region(0.0, 0.1, -1.0, 1.0), n_x=16,
+                        exact=ZERO_SOL)
+        assert compare(solve_ibvp(spec), ZERO_SOL) == (0.0, 0.0)
 
     def test_self_comparison_is_discretization_error(self):
         spec, sol = tanh_front_spec(n_x=32)
@@ -218,10 +219,8 @@ class TestConvergence:
         assert rep.max_errors[-1] <= 5e-4
 
     def test_zero_solution_degenerate(self):
-        zero_sol = SolutionField(u=ScalarField(lambda T, X: 0.0), f=F_MINUS_ONE,
-                                 provenance="zero", valid=lambda p: True)
         spec = IbvpSpec(f=F_MINUS_ONE, region=Region(0.0, 0.1, -1.0, 1.0), n_x=8,
-                        exact=zero_sol)
+                        exact=solution(lambda T, X: 0.0))
         rep = convergence_study(spec, [8, 16, 32])
         assert rep.degenerate
         assert math.isnan(rep.observed_order)
@@ -240,13 +239,6 @@ class TestConvergence:
             convergence_study(spec, [16, 32])
         with pytest.raises(ValueError):
             convergence_study(spec, [16, 24, 48])
-
-    def test_requires_exact_solution(self):
-        spec = IbvpSpec(f=F_MINUS_ONE, region=Region(0.0, 0.1, -1.0, 1.0), n_x=8,
-                        initial=lambda xs: 0 * xs, left=lambda t: 0.0,
-                        right=lambda t: 0.0)
-        with pytest.raises(ValueError):
-            convergence_study(spec, [8, 16, 32])
 
     def test_report_serialization(self):
         spec, _ = tanh_front_spec(n_x=16, region=Region(0.0, 0.1, -1.0, 1.0))

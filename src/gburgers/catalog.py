@@ -94,7 +94,9 @@ def _case5_denominator_roots(lam: float) -> tuple[float, ...]:
 
     For lam > 0 the minimum of d is log(lam) at w = log(lam), which gives
     zero, one (double), or two roots; for lam <= 0 d is strictly increasing
-    with a single root; for lam = 0 the root is w = 1.
+    with a single root; for lam = 0 the root is w = 1.  Each root is
+    bracketed where d is monotone (d is convex for lam > 0) and bisected
+    to the last float.
     """
     if lam == 0.0:
         return (1.0,)
@@ -123,8 +125,20 @@ def _case5_denominator_roots(lam: float) -> tuple[float, ...]:
         while d(hi) <= 0.0:
             hi *= 2.0
         brackets = ((lo, hi),)
-    from scipy.optimize import brentq  # imported on first use: it is slow to import
-    return tuple(brentq(d, a, b) for a, b in brackets)
+    return tuple(_bisect(d, a, b) for a, b in brackets)
+
+
+def _bisect(d: Callable[[float], float], a: float, b: float) -> float:
+    """The root of d in [a, b], a < b, where d(a) and d(b) have opposite
+    signs: bisection down to two adjacent floats, then the one where |d| is
+    smaller."""
+    positive_at_a = d(a) > 0.0
+    while a < (m := 0.5 * (a + b)) < b:
+        if (d(m) > 0.0) == positive_at_a:
+            a = m
+        else:
+            b = m
+    return a if abs(d(a)) <= abs(d(b)) else b
 
 
 def _build_case5(lam: float) -> CatalogEntry:

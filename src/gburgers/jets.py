@@ -27,12 +27,14 @@ returns such a jet, NaN in all ten entries at every element whose jet is
 not finite.  Plain arrays (``ScalarField.sample``) keep numpy's ufuncs.
 :func:`fail_where` is the one place that knows this policy: every
 deliberate exclusion of the package (a zero divisor, a pole of a Riccati
-branch, a vanishing f or theta_x, a projective singularity) goes through it.
+branch, a vanishing f or theta_x, a projective singularity, a failed
+quadrature) goes through it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partialmethod
@@ -152,7 +154,6 @@ _POS = {ij: n for n, ij in enumerate(_IDX)}
 
 _ELEMENT_ERRORS = (ArithmeticError, ValueError, EvaluationError)
 _NUMBER = (int, float, np.ndarray)  # numbers to Jet3's +, - and *; an array per element
-_QUAD_TOL = 1e-12  # absolute and relative tolerance of Antiderivative's quadrature
 
 
 def _coeff(v):
@@ -681,41 +682,226 @@ def fd_jet(field: ScalarField, p: Point, h: float = 1e-4) -> Jet3:
     )
 
 
+# -- quadrature --------------------------------------------------------------
+#
+# The G7/K15 Gauss-Kronrod pair of QUADPACK's qk15 (Piessens et al.,
+# *QUADPACK*, 1983): the K15 abscissae in (0, 1), those of G7 at the odd
+# positions; the K15 weights and the G7 weights, each ending with the
+# weight of the centre.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_NODES = np.array((0.0, *(-x for x in _XGK), *_XGK))[:, None]  # of K15, per unit half-width
+_QUAD_TOL = 1e-12  # absolute and relative tolerance of each subinterval
+_QUAD_LIMIT = 200  # subintervals of one interval, as quad's limit
+# Antiderivative's breakpoints, as distances from w0: 16 panels of width 1/2,
+# then each panel twice as wide as the one before, up to 2**1023
+_BREAKS = np.concatenate((np.arange(17) * 0.5, np.ldexp(8.0, np.arange(1, 1021))))
+
+
+def _sample(g: Callable, c, h) -> np.ndarray:
+    """g at the 15 nodes of each subinterval of centre c and half-width h
+    (equal-length 1-D arrays, or the floats of one subinterval), in one
+    call: row j holds node j of every subinterval."""
+    nodes = (c + h * _NODES).ravel()
+    with np.errstate(all="ignore"):
+        f = np.asarray(g(nodes), dtype=float)
+    if f.shape != nodes.shape:  # an integrand that does not depend on w
+        f = np.broadcast_to(f, nodes.shape)
+    return f.reshape(15, -1)
+
+
+def _kronrod(f, h):
+    """K15 value and |K15 - G7| of subintervals of half-width h, from the
+    rows of :func:`_sample`.  The rows are arrays, one element per
+    subinterval, or the floats of one subinterval: the same operations in
+    the same order give the same bits."""
+    pairs = [f[1 + j] + f[8 + j] for j in range(7)]
+    res_k = _WGK[7] * f[0]
+    for w, p in zip(_WGK, pairs):  # one term at a time, so each sum has one order
+        res_k = res_k + w * p
+    res_g = _WG[3] * f[0] + _WG[0] * pairs[1] + _WG[1] * pairs[3] + _WG[2] * pairs[5]
+    return res_k * h, abs((res_k - res_g) * h)
+
+
+def _stalled(k0, err0, k1, err1, k, err):
+    """Whether the halves (k0, err0) and (k1, err1) of a subinterval (k, err)
+    show that the rounding of g, not the rule, limits the error: their sum
+    agrees with k to 1e-5 but their errors add to at least 0.99 of err
+    (QUADPACK's roundoff test)."""
+    halves = k0 + k1
+    return (abs(halves - k) <= 1e-5 * abs(halves)) & (err0 + err1 >= 0.99 * err)
+
+
+def gauss_kronrod(g: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The integral of ``g`` over each oriented interval [a_i, b_i], NaN
+    where it fails.
+
+    One adaptive pass integrates all intervals.  Each round evaluates ``g``
+    once, on a 1-D array holding the 15 nodes of every open subinterval,
+    keeps the K15 value of each subinterval whose |K15 - G7| is at most
+    ``_QUAD_TOL * max(1, |K15|)``, and bisects the others.  An interval fails
+    where ``g`` is not finite at a node, where it would need more than
+    ``_QUAD_LIMIT`` subintervals, or where a bisection stalls
+    (:func:`_stalled`): then no subinterval size meets the tolerance.
+
+    The subintervals of an interval keep their order whatever is integrated
+    beside them, and the values kept in one round are added in that order,
+    then to the sum of the rounds before, so each result depends only on
+    (g, a_i, b_i); :func:`_gauss_kronrod_at` gives the same bits for one
+    interval.
+    """
+    n = a.size
+    total = np.zeros(n)
+    leaves = np.ones(n, dtype=np.int64)
+    owner = np.arange(n)
+    parent = None  # (K15, |K15 - G7|) of the parent of each pair of halves
+    while owner.size:
+        c = 0.5 * a + 0.5 * b  # neither overflows for finite a and b
+        h = 0.5 * b - 0.5 * a
+        with np.errstate(all="ignore"):  # non-finite values are the failures below
+            k, err = _kronrod(_sample(g, c, h), h)
+            fails = ~np.isfinite(k)  # every node has a weight, so also g at each node
+            if parent is not None:
+                fails |= np.repeat(_stalled(k[0::2], err[0::2], k[1::2], err[1::2], *parent), 2)
+            ok = err <= _QUAD_TOL * np.maximum(1.0, np.abs(k))
+        done = ok & ~fails
+        total += np.bincount(owner[done], weights=k[done], minlength=n)
+        split = ~(ok | fails)
+        leaves += np.bincount(owner[split], minlength=n)
+        total[owner[fails]] = math.nan
+        total[leaves > _QUAD_LIMIT] = math.nan
+        split &= ~np.isnan(total[owner])
+        parent = k[split], err[split]
+        a, c, b = a[split], c[split], b[split]
+        a, b = np.stack((a, c), axis=1).ravel(), np.stack((c, b), axis=1).ravel()
+        owner = np.repeat(owner[split], 2)
+    return total
+
+
+def _gauss_kronrod_at(g: Callable, a: float, b: float) -> float:
+    """:func:`gauss_kronrod` of the one interval [a, b], with the rule's
+    arithmetic in floats: the same operations in the same order, so the
+    same bits, without numpy's cost per operation on a few subintervals."""
+    total, leaves, subs, parents = 0.0, 1, [(a, b)], None
+    while subs:
+        c = [0.5 * a + 0.5 * b for a, b in subs]
+        h = [0.5 * b - 0.5 * a for a, b in subs]
+        # floats broadcast against the nodes faster than arrays of one element
+        f = _sample(g, c[0], h[0]) if len(subs) == 1 else _sample(g, np.array(c), np.array(h))
+        rules = [_kronrod(fi, hi) for fi, hi in zip(f.T.tolist(), h)]
+        if not all(math.isfinite(k) for k, _ in rules):
+            return math.nan
+        if parents and any(_stalled(*rules[i], *rules[i + 1], *parent)
+                           for i, parent in zip(range(0, len(rules), 2), parents)):
+            return math.nan
+        ok = [err <= _QUAD_TOL * max(1.0, abs(k)) for k, err in rules]
+        kept = 0.0
+        for (k, _), keep in zip(rules, ok):
+            if keep:
+                kept += k
+        total += kept
+        parents = [rule for rule, keep in zip(rules, ok) if not keep]
+        leaves += len(parents)
+        if leaves > _QUAD_LIMIT:
+            return math.nan
+        subs = [half for (a, b), ci, keep in zip(subs, c, ok) if not keep
+                for half in ((a, ci), (ci, b))]
+    return total
+
+
 class Antiderivative:
     """Univariate antiderivative F(w) = integral of g from w0 to w.
 
-    The value is computed by adaptive quadrature; all derivatives come from
-    the closed form of the integrand (F' = g, F'' = g', F''' = g''), so
-    jets through an Antiderivative stay exact apart from the quadrature
-    tolerance on the value itself.  An array or an array jet takes one
-    quadrature per element, memoised by abscissa, and is NaN where the
-    quadrature fails.
+    ``integrand`` is written against the elementary functions of this
+    module, so it takes a float array and a jet.  All derivatives come from
+    it (F' = g, F'' = g', F''' = g''), so jets through an Antiderivative
+    stay exact apart from the quadrature tolerance on the value itself.
+
+    The value is one :func:`gauss_kronrod` pass per array, and
+    :func:`_gauss_kronrod_at` at one abscissa.  The breakpoints
+    w0 +- ``_BREAKS`` cut each side of w0 into panels.  F(w) is the
+    sum of the whole panels between w0 and w, added in order outward from
+    w0 and kept per instance, plus the partial panel that ends at w.  So
+    F(w) depends only on (g, w0, w): each element of an array or an array
+    jet is bit-identical to the value of that abscissa alone.  The value is
+    NaN at an element, and raises :class:`EvaluationError` at one point,
+    where the abscissa is not finite or a panel it needs fails.  Values are
+    remembered by abscissa, up to 200,000 of them, so a point asked again
+    (a grid's values after its validity, say) costs one lookup.
     """
 
     def __init__(self, integrand: Callable, w0: float):
         self.integrand = integrand
         self.w0 = float(w0)
-        self._cache: dict[float, float] = {}
+        # side of w0 -> prefix sums of its whole panels, from the empty sum
+        self._sums: dict[float, list[float]] = {1.0: [0.0], -1.0: [0.0]}
+        self._memo: dict[float, float] = {}  # abscissa -> value
 
-    def _value(self, w: float) -> float:
-        hit = self._cache.get(w)
+    def _values(self, w: np.ndarray) -> np.ndarray:
+        """F at each element of a 1-D array, NaN where it fails."""
+        out = np.full(w.shape, math.nan)
+        finite = np.isfinite(w)
+        ws = w[finite]
+        side = np.where(ws >= self.w0, 1.0, -1.0)
+        k = np.searchsorted(_BREAKS, np.abs(ws - self.w0), side="right") - 1
+        # each abscissa's partial panel, then the whole panels not yet summed
+        lo, hi, grow = [self.w0 + side * _BREAKS[k]], [ws], []
+        for s, sums in self._sums.items():
+            j = np.arange(len(sums) - 1, k[side == s].max(initial=0))
+            if j.size:
+                lo.append(self.w0 + s * _BREAKS[j])
+                hi.append(self.w0 + s * _BREAKS[j + 1])
+                grow.append((sums, j.size))
+        vals = gauss_kronrod(self.integrand, np.concatenate(lo), np.concatenate(hi))
+        partial, pos = vals[:ws.size], ws.size
+        for sums, count in grow:
+            for panel in vals[pos:pos + count].tolist():
+                sums.append(sums[-1] + panel)
+            pos += count
+        prefix = np.empty(ws.shape)
+        for s, sums in self._sums.items():
+            on = side == s
+            prefix[on] = np.asarray(sums)[k[on]]
+        out[finite] = vals = prefix + partial
+        self._remember(ws.tolist(), vals.tolist())
+        return out
+
+    def _remember(self, ws: list, vals: list) -> None:
+        if len(self._memo) + len(ws) <= 200_000:
+            self._memo.update(zip(ws, vals))
+
+    def _value_at(self, w: float) -> float:
+        """F at one abscissa, NaN where it fails: :meth:`_values` in floats."""
+        hit = self._memo.get(w)
         if hit is not None:
             return hit
-        if not math.isfinite(w):
-            # quad gives 0.0 for a NaN bound and a finite number for a divergent
-            # infinite range, neither of them the integral
-            raise EvaluationError(f"non-finite abscissa {w} for the antiderivative")
-        from scipy.integrate import quad  # imported on first use: it is slow to import
-        try:
-            val, _ = quad(self.integrand, self.w0, w,
-                          epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-        except Exception as exc:  # scipy signals bad integrands in several ways
-            raise EvaluationError(f"quadrature failed on [{self.w0}, {w}]: {exc}") from exc
-        if not math.isfinite(val):
-            raise EvaluationError(f"quadrature diverged on [{self.w0}, {w}]")
-        if len(self._cache) < 200_000:
-            self._cache[w] = val
-        return val
+        s = 1.0 if w >= self.w0 else -1.0
+        k = bisect_right(_BREAKS, abs(w - self.w0)) - 1
+        sums = self._sums[s]
+        if not (math.isfinite(w) and k < len(sums)):  # whole panels to sum first, or no value
+            return float(self._values(np.array([w]))[0])
+        hit = sums[k] + _gauss_kronrod_at(self.integrand, self.w0 + s * float(_BREAKS[k]), w)
+        self._remember([w], [hit])
+        return hit
+
+    def _value(self, w):
+        """F at a float or at each element of an array, through the guard."""
+        if isinstance(w, np.ndarray):
+            vals = self._values(w.astype(float).ravel()).reshape(w.shape)
+            bad = np.isnan(vals)
+        else:
+            vals = self._value_at(float(w))
+            bad = math.isnan(vals)
+        return fail_where(bad, vals,
+                          "no quadrature value of the antiderivative on [{}, {}]", self.w0, w)
 
     def __call__(self, w):
         if isinstance(w, Jet3):
@@ -723,7 +909,5 @@ class Antiderivative:
             gj = self.integrand(Jet3.variable_t(w0v))
             if not isinstance(gj, Jet3):
                 gj = Jet3.constant(float(gj))
-            return w.compose(_pointwise(self._value, w0v), gj.v, gj.d_t, gj.d_tt)
-        if isinstance(w, np.ndarray):
-            return _pointwise(self._value, w.astype(float))
-        return self._value(float(w))
+            return w.compose(self._value(w0v), gj.v, gj.d_t, gj.d_tt)
+        return self._value(w)

@@ -273,21 +273,25 @@ class TestDeterminism:
 
 
 def test_scipy_is_imported_only_when_needed():
-    # scipy.optimize (case 5 roots for lambda != 1) and scipy.integrate
-    # (case 5 quadrature) are slow to import; listing the catalog needs neither
+    # scipy is only the tests' reference: with every import of it made to
+    # fail, the listing, case 5's quadrature (eval) and its denominator's
+    # roots at lambda = 0.5 (verify) all run
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = """if True:
         import sys
-        import gburgers.cli
-        loaded = lambda: [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
-        print(loaded())
-        gburgers.cli.cli(["list"], standalone_mode=False)
-        print(loaded())
+        sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+        from click.testing import CliRunner
+        from gburgers.cli import cli
+        for args in (["list"],
+                     ["eval", "--case", "5", "--nu", "1", "--c1", "0.3", "--c2", "1",
+                      "--region", "0.5,1,1.5,3", "--res", "11x11", "--format", "json"],
+                     ["verify", "--case", "5", "--lambda", "0.5", "--which", "potential"]):
+            res = CliRunner().invoke(cli, args)
+            print(res.exit_code, len(res.output.splitlines()), repr(res.exception))
     """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
-    assert out[0] == "[]"
-    assert out[-1] == "[]"
-    assert len(out) == 2 + 18  # the listing: header and 17 rows
+    assert [line.split()[0] for line in out] == ["0", "0", "0"], out
+    assert out[0].split()[1] == "18"  # the listing: header and 17 rows

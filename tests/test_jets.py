@@ -230,7 +230,7 @@ def test_antiderivative_on_an_array_fails_only_at_the_bad_abscissa():
 
 
 def test_antiderivative_rejects_a_non_finite_abscissa():
-    # scipy's quad gives 0.0 for a NaN bound and a finite number for [w0, inf)
+    # neither a NaN bound nor an infinite range has a value to give
     A = Antiderivative(lambda w: 1.0 / w, w0=1.0)
     for w in (math.nan, math.inf):
         with pytest.raises(EvaluationError):

@@ -22,11 +22,11 @@ import numpy as np
 from . import catalog
 from .ansatz import RiccatiBranch, SolutionField, build_solution, rational_solution, xi_solution
 from .equivalence import EquivalenceElement, transform_solution
-from .jets import EvaluationError, Point, Region, csv_rows, csv_text, format_float, valid_mask
+from .jets import EvaluationError, Region, csv_rows, csv_text, format_float
 from .numsolve import (BlowUpError, IbvpSpec, NumericSolution, WellPosednessError, compare,
                        convergence_study, march, solve_ibvp)
 from .verify import (EmptySweepError, ReductionOperatorCoefficients,
-                     determining_residuals, gbe_residual_scaled,
+                     determining_residuals, evaluate_grid, gbe_residual_scaled,
                      pfde_residual_scaled, potential_residual_scaled,
                      reduced_system_residual_scaled, sweep)
 
@@ -101,21 +101,6 @@ def _solution(entry: catalog.CatalogEntry, kind: str, nu: float, c1: float,
     return rational_solution(c1, c2, entry.f)
 
 
-def _grid_values(sol: SolutionField, reg: Region, n_t: int, n_x: int) -> tuple[list, list, list]:
-    """(t, x, u) columns of the grid in row-major order; the first point
-    where u is invalid or fails to evaluate raises."""
-    p = reg.points(n_t, n_x)
-    bad = np.flatnonzero(~valid_mask(sol.valid, p))
-    end = int(bad[0]) if bad.size else p.t.size
-    ts, xs = p.t[:end].tolist(), p.x[:end].tolist()
-    us = list(map(sol.u.value, ts, xs))
-    if bad.size:
-        raise EvaluationError(
-            f"solution is singular at ({format_float(p.t[end])}, {format_float(p.x[end])}); "
-            f"choose a region inside the valid domain")
-    return ts, xs, us
-
-
 def _write_levels(levels, out: str) -> NumericSolution:
     """Write every level of a march to ``out`` as CSV, row-major by time then
     space, and return the last.  A march that fails leaves no file."""
@@ -137,6 +122,12 @@ def _value_or_nan(u, t: float, x: float) -> float:
         return u.value(t, x)
     except EvaluationError:
         return math.nan
+
+
+def _values(u):
+    """The value function of u for :func:`evaluate_grid`: ``u.value`` at
+    each point, whose ``math`` bits the goldens pin, NaN where it fails."""
+    return lambda p: [_value_or_nan(u, t, x) for t, x in zip(p.t.tolist(), p.x.tolist())]
 
 
 _solution_opts = [
@@ -203,7 +194,13 @@ def cmd_eval(case_id, kind, nu, c1, c2, lam, region, res, fmt, out):
     n_t, n_x = _parse_res(res)
     entry = catalog.get_case(case_id, lam)
     sol = _solution(entry, kind, nu, c1, c2)
-    ts, xs, us = _grid_values(sol, reg, n_t, n_x)
+    grid, us = evaluate_grid(_values(sol.u), reg, n_t, n_x, sol.valid)
+    bad = np.flatnonzero(np.isnan(us))
+    if bad.size:
+        raise EvaluationError(
+            f"solution is singular at ({format_float(grid.t[bad[0]])}, "
+            f"{format_float(grid.x[bad[0]])}); choose a region inside the valid domain")
+    ts, xs, us = grid.t.tolist(), grid.x.tolist(), us.tolist()
     if fmt == "json":
         # + 0.0 writes -0.0 as 0.0, as format_float does in the CSV
         rows = [{"t": t + 0.0, "x": x + 0.0, "u": u + 0.0} for t, x, u in zip(ts, xs, us)]
@@ -281,30 +278,23 @@ def cmd_transform(element, case_id, kind, nu, c1, c2, lam, region, res, recheck,
     sol = _solution(entry, kind, nu, c1, c2)
     tsol = transform_solution(g, sol)
 
-    p = reg.points(n_t, n_x)
-    keep = valid_mask(tsol.valid, p)
-    T, X = p.t[keep], p.x[keep]
-    u = np.array([_value_or_nan(tsol.u, t, x) for t, x in zip(T.tolist(), X.tolist())])
+    grid, u = evaluate_grid(_values(tsol.u), reg, n_t, n_x, tsol.valid)
     ok = ~np.isnan(u)
-    worst = 0.0
-    if recheck and ok.any():
-        # a point whose residual jets fail is skipped, as one whose value fails
-        with np.errstate(all="ignore"):
-            r = gbe_residual_scaled(tsol.u, tsol.f, Point(T[ok], X[ok]))
-        ok[ok] = ~np.isnan(r)
-        worst = max([worst, *r[~np.isnan(r)].tolist()])
-    checked = int(ok.sum())
-    skipped = n_t * n_x - checked
     meta = {"element": g.to_dict(), "source": sol.provenance,
             "transformed_f": f"kappa^2/det * [{entry.f_expr}] pulled back through "
                              f"the inverse element",
-            "points_checked": checked, "points_skipped": skipped}
+            "points_checked": int(ok.sum()), "points_skipped": int((~ok).sum())}
     if recheck:
-        meta["recheck_max_scaled_residual"] = worst
-        meta["recheck_pass"] = worst <= tol
+        # at the points with a value (ok masks this same grid); a point whose
+        # residual is not finite is skipped too
+        rep = sweep(lambda p: gbe_residual_scaled(tsol.u, tsol.f, p), reg, n_t, n_x,
+                    valid=lambda p: ok)
+        meta.update(points_checked=rep.points_checked, points_skipped=rep.points_skipped,
+                    recheck_max_scaled_residual=rep.max_abs_residual,
+                    recheck_pass=rep.max_abs_residual <= tol)
     click.echo(_json_dumps(meta), err=True, nl=False)
-    _emit(csv_text(T[ok].tolist(), X[ok].tolist(), u[ok].tolist()), out)
-    if recheck and worst > tol:
+    _emit(csv_text(grid.t[ok].tolist(), grid.x[ok].tolist(), u[ok].tolist()), out)
+    if recheck and not meta["recheck_pass"]:
         sys.exit(EXIT_VERIFY_FAIL)
 
 

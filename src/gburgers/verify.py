@@ -26,7 +26,7 @@ bit-identical to the residual of that point taken alone (array jets, see
 :class:`EvaluationError` (a jet that fails, theta_x or f within
 ``EPS_COEFF`` of zero), the element is NaN: both come from
 :func:`gburgers.jets.fail_where`, the one guard that knows this policy.
-:func:`sweep` evaluates a whole grid this way in one call.
+:func:`evaluate_grid` evaluates a whole grid this way in one call.
 """
 
 from __future__ import annotations
@@ -320,41 +320,50 @@ class SweepReport:
         return {**asdict(self), "argmax": self.argmax._asdict(), "scale_used": "relative"}
 
 
-def sweep(residual_fn: Callable[[Point], float], region: Region,
-          n_t: int, n_x: int,
-          valid: Optional[Callable[[Point], bool]] = None) -> SweepReport:
-    """Max |residual_fn| over the inclusive uniform n_t x n_x grid.
+def evaluate_grid(fn: Callable[[Point], object], region: Region, n_t: int, n_x: int,
+                  valid: Optional[Callable[[Point], bool]] = None) -> tuple[Point, np.ndarray]:
+    """The inclusive uniform n_t x n_x grid, as one :class:`Point` of 1-D
+    arrays in row-major (t, x) order, and the value of ``fn`` at each of
+    its points.
 
     ``valid`` is a validity predicate (see :func:`gburgers.jets.valid_mask`)
-    and is asked once, at the whole grid as a :class:`Point` of 1-D arrays
-    in row-major (t, x) order; it returns one bool per point, or a lone
-    bool for every point.  ``residual_fn`` is then called once, on a
+    and is asked once, at the whole grid; it returns one bool per point, or
+    a lone bool for every point.  ``fn`` is then called once, on a
     :class:`Point` holding the valid grid points in the same order, and
-    must return one residual per point (a float counts for every point).
+    must return one value per point (a float counts for every point).
     The residuals of this module, fed fields written against
     :mod:`gburgers.jets`, do so, and each element is bit-identical to a
-    call at that point alone.  Invalid points and non-finite residuals are
-    skipped and counted; so is every point if ``residual_fn`` raises
-    :class:`EvaluationError` for the whole grid.  Poles of the Riccati
-    branches are NaN on arrays, so a branch swept with the catalog
-    predicate alone skips them as non-finite residuals.  The reported
-    argmax is the first maximum in row-major order, that is the
-    lexicographically smallest (t, x) among ties.
+    call at that point alone.  The value is NaN at an invalid point, and at
+    every point if ``fn`` raises :class:`EvaluationError` for the whole
+    batch.  Poles of the Riccati branches are NaN on arrays, so a branch
+    evaluated with the catalog predicate alone is NaN there too.
     """
     if n_t < 2 or n_x < 2:
         raise ValueError("grid must be at least 2x2")
     grid = region.points(n_t, n_x)
-    T, X = grid
-    if valid is not None:
-        keep = valid_mask(valid, grid)
-        T, X = T[keep], X[keep]
-    r = np.full(T.size, np.nan)
-    if T.size:
+    keep = np.ones(grid.t.size, dtype=bool) if valid is None else valid_mask(valid, grid)
+    values = np.full(grid.t.size, np.nan)
+    if keep.any():
         try:
             with np.errstate(all="ignore"):
-                r = np.abs(np.broadcast_to(residual_fn(Point(T, X)), T.shape).astype(float))
+                values[keep] = np.broadcast_to(fn(Point(grid.t[keep], grid.x[keep])), keep.sum())
         except EvaluationError:
             pass
+    return grid, values
+
+
+def sweep(residual_fn: Callable[[Point], float], region: Region,
+          n_t: int, n_x: int,
+          valid: Optional[Callable[[Point], bool]] = None) -> SweepReport:
+    """Max |residual_fn| over the grid of :func:`evaluate_grid`.
+
+    Points whose residual is not finite, the invalid ones among them, are
+    skipped and counted.  The reported argmax is the first maximum in
+    row-major order, that is the lexicographically smallest (t, x) among
+    ties.
+    """
+    grid, r = evaluate_grid(residual_fn, region, n_t, n_x, valid)
+    r = np.abs(r)
     finite = np.flatnonzero(np.isfinite(r))
     checked = int(finite.size)
     skipped = n_t * n_x - checked
@@ -362,4 +371,4 @@ def sweep(residual_fn: Callable[[Point], float], region: Region,
         raise EmptySweepError(
             f"no valid points in {region} on a {n_t}x{n_x} grid ({skipped} skipped)")
     k = finite[int(np.argmax(r[finite]))]
-    return SweepReport(float(r[k]), Point(float(T[k]), float(X[k])), checked, skipped)
+    return SweepReport(float(r[k]), Point(float(grid.t[k]), float(grid.x[k])), checked, skipped)

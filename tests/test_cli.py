@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from gburgers.ansatz import SolutionField
 from gburgers.cli import _write_levels, cli
-from gburgers.jets import Region, ScalarField
+from gburgers.jets import Region, ScalarField, constant_field
 from gburgers.numsolve import BlowUpError, IbvpSpec, march
 
 BOOST = '{"alpha":1,"beta":0,"gamma":0,"delta":1,"mu0":0,"mu1":3,"kappa":1}'
@@ -155,6 +155,44 @@ class TestTransform:
         res = runner.invoke(cli, ["transform", "--element", "{not json",
                                   "--case", "2", "--region", "0,1,-1,1"])
         assert res.exit_code == 2
+
+    def test_recheck_with_no_point_checked_exits_3(self, runner):
+        # every point of the column x = 0 is off case 7's domain, as in verify
+        grid = ["--case", "7", "--region", "1,2,0,0", "--res", "3x3"]
+        res = runner.invoke(cli, ["transform", "--element", IDENTITY, "--nu", "0", "--c1", "4",
+                                  "--c2", "1", *grid, "--recheck"])
+        ver = runner.invoke(cli, ["verify", "--which", "pfde", *grid])
+        assert res.exit_code == ver.exit_code == 3
+        assert res.stderr == ver.stderr == (
+            "error: no valid points in Region(t0=1.0, t1=2.0, x0=0.0, x1=0.0) "
+            "on a 3x3 grid (9 skipped)\n")
+
+
+# u = 1/(x - 1/2) solves the equation with f = 1/2; its predicate admits the
+# grid column x = 1/2, where its value fails
+POLE = SolutionField(u=ScalarField(lambda t, x: 1.0 / (x - 0.5), name="pole"),
+                     f=constant_field(0.5), provenance="pole", valid=lambda p: True)
+
+
+class TestAValueThatFailsAtAValidPoint:
+    GRID = ["--case", "2", "--region", "0,1,-1,1", "--res", "3x5"]
+
+    def test_eval_names_the_first_such_point(self, runner, monkeypatch):
+        monkeypatch.setattr("gburgers.cli._solution", lambda *args: POLE)
+        res = runner.invoke(cli, ["eval", *self.GRID])
+        assert res.exit_code == 3
+        assert res.stderr == ("error: solution is singular at (0, 0.5); "
+                              "choose a region inside the valid domain\n")
+
+    def test_transform_skips_and_counts_it(self, runner, monkeypatch):
+        monkeypatch.setattr("gburgers.cli._solution", lambda *args: POLE)
+        res = runner.invoke(cli, ["transform", "--element", IDENTITY, *self.GRID, "--recheck"])
+        assert res.exit_code == 0
+        meta = json.loads(res.stderr)
+        assert (meta["points_checked"], meta["points_skipped"]) == (12, 3)
+        assert meta["recheck_pass"] is True
+        rows = [line.split(",") for line in res.stdout.strip().split("\n")[1:]]
+        assert len(rows) == 12 and "0.5" not in {x for _, x, _ in rows}
 
 
 class TestSolveAndConvergence:

@@ -6,11 +6,14 @@ point) whose elements are its answers at each point alone.  Each predicate
 is checked on grids that cross its singular sets.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from gburgers import cli
 from gburgers.ansatz import RiccatiBranch, build_solution, rational_solution, xi_solution
 from gburgers.catalog import get_case, iter_cases
 from gburgers.equivalence import EquivalenceElement, transform_solution
@@ -109,3 +112,34 @@ class TestSweepAsksOncePerGrid:
         assert (rep.points_checked, rep.points_skipped) == (9, 0)
         with pytest.raises(EmptySweepError, match=r"\(9 skipped\)"):
             sweep(lambda p: abs(p.x), Region(0.0, 1.0, -1.0, 1.0), 3, 3, valid=lambda p: False)
+
+    @pytest.mark.parametrize("command", [
+        ["eval"],
+        ["transform", "--element",
+         '{"alpha":1,"beta":0,"gamma":0,"delta":1,"mu0":0,"mu1":0,"kappa":1}']],
+        ids=lambda command: command[0])
+    def test_eval_and_transform_ask_once_and_evaluate_once(self, command, monkeypatch):
+        # u = xi of case 7 on a grid whose column x = 0 its predicate excludes
+        sol = xi_solution(get_case(7))
+        valid_calls, value_calls = [], []
+
+        def valid(p):
+            valid_calls.append(p)
+            return sol.valid(p)
+
+        def values(u, original=cli._values):
+            fn = original(u)
+
+            def counted(p):
+                value_calls.append(p)
+                return fn(p)
+            return counted
+
+        monkeypatch.setattr(cli, "_solution",
+                            lambda *args: dataclasses.replace(sol, valid=valid))
+        monkeypatch.setattr(cli, "_values", values)
+        res = CliRunner().invoke(cli.cli, [*command, "--case", "7", "--region", "1,2,-1,1",
+                                           "--res", "5x9"])
+        assert res.exit_code == (3 if command[0] == "eval" else 0)
+        assert len(valid_calls) == 1 and valid_calls[0].t.shape == (45,)
+        assert len(value_calls) == 1 and value_calls[0].t.shape == (40,)

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from gburgers import jets
 from gburgers.catalog import CASE5_W0, EPS_DEN, _case5_denominator_roots, get_case
 from gburgers.jets import (_BREAKS, _QUAD_LIMIT, Antiderivative, EvaluationError, exp,
-                           gauss_kronrod)
+                           gauss_kronrod, sin)
 
 
 def integrand(lam: float):
@@ -165,6 +166,35 @@ def test_a_non_finite_integrand_fails_at_once():
         with pytest.raises(EvaluationError):
             Antiderivative(g, -1.0)(-2.0)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("g, w0, ws", [
+    # within 3e-3 of the double root at 0 of lambda = 1, on both sides: the
+    # rule stalls above it and meets a non-finite node below it
+    (integrand(1.0), CASE5_W0, [3e-4, 1e-3, 2e-3, 3e-3, 1e-2, 1e-7, -1e-7, -1e-5, -1e-3]),
+    # within 1e-5 of either root of lambda = 0.5
+    (integrand(0.5), CASE5_W0, [r + d for r in _case5_denominator_roots(0.5)
+                                for d in (1e-5, 2e-6, 1e-6, 1e-7, -1e-8, -1e-5)]),
+    # in w0's first panel: sin(2000 w) needs more than _QUAD_LIMIT subintervals
+    # from 0 to +-0.49, and fewer to +-0.1; sqrt is NaN at every node left of 0
+    (lambda w: sin(2000.0 * w), 0.0, [0.1, 0.49, -0.1, -0.49]),
+    (np.sqrt, 0.0, [0.4, -0.4]),
+], ids=["lambda=1", "lambda=0.5", "sin(2000w)", "sqrt"])
+def test_the_single_point_rule_fails_where_the_batched_one_fails(g, w0, ws, monkeypatch):
+    single = Antiderivative(g, w0)
+    single(np.array([-3.0, 5.0]))  # the whole panels up to each w summed, so w takes the float rule
+    rules = []
+
+    def rule(*args, float_rule=jets._gauss_kronrod_at):
+        rules.append(float_rule(*args))
+        return rules[-1]
+
+    monkeypatch.setattr(jets, "_gauss_kronrod_at", rule)
+    got = [single._value_at(w) for w in ws]
+    want = Antiderivative(g, w0)._values(np.array(ws))
+    assert len(rules) == len(ws)
+    assert [v.hex() for v in got] == [v.hex() for v in want.tolist()]
+    assert 0 < sum(math.isnan(v) for v in rules) < len(ws)
 
 
 def test_gauss_kronrod_is_exact_for_polynomials_of_degree_22():

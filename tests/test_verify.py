@@ -10,7 +10,7 @@ from gburgers.jets import EvaluationError, Point, Region, ScalarField, exp, fd_j
 from gburgers.verify import (DegenerateGradientError, EmptySweepError, SweepReport,
                              LinearReductionOperator, ReductionOperatorCoefficients,
                              VanishingCoefficientError, determining_residuals,
-                             gbe_residual, gbe_residual_scaled, gfde_residual,
+                             evaluate_grid, gbe_residual, gbe_residual_scaled, gfde_residual,
                              gfde_residual_scaled,
                              linear_operator_fields, pfde_residual,
                              pfde_residual_scaled, potential_residual,
@@ -259,6 +259,17 @@ class TestSweep:
         assert xs.tolist() == [-1.0, -0.5, 0.5, 1.0] * 3
         assert (rep.points_checked, rep.points_skipped) == (12, 3)
         assert rep.argmax == Point(1.0, -1.0)
+
+    def test_the_evaluator_keeps_the_grid_with_nan_where_no_value(self):
+        region = Region(1.0, 2.0, -1.0, 1.0)
+        grid, values = evaluate_grid(lambda p: p.x, region, 3, 5, valid=get_case(7).valid)
+        want = region.points(3, 5)
+        assert grid.t.tolist() == want.t.tolist() and grid.x.tolist() == want.x.tolist()
+        assert np.array_equal(values, np.where(want.x == 0.0, np.nan, want.x), equal_nan=True)
+
+        def fn(p):
+            raise EvaluationError("fails for the whole grid")
+        assert np.isnan(evaluate_grid(fn, region, 3, 5)[1]).all()
 
     def test_batch_evaluation_error_skips_every_point(self):
         def fn(p):

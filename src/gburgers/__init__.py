@@ -9,12 +9,11 @@ independent finite-difference integration.
 
 from .ansatz import (RiccatiBranch, SolutionField, build_solution, matched_branch,
                      phi, phi_prime, rational_solution, riccati_residual, xi_solution)
-from .catalog import (CatalogEntry, case5_theta_reduction_check, catalog_json,
-                      eval_case, get_case, iter_cases)
+from .catalog import CatalogEntry, catalog_json, eval_case, get_case, iter_cases
 from .equivalence import (EquivalenceElement, apply_point, apply_u, compose,
                           identity, inverse, transform_f, transform_solution)
 from .jets import (Antiderivative, EvaluationError, Jet3, Point, Region,
-                   ScalarField, SingularPointError, constant_field, fd_jet)
+                   ScalarField, SingularPointError, constant_field)
 from .numsolve import (BlowUpError, ConvergenceReport, IbvpSpec, NumericSolution,
                        WellPosednessError, compare, convergence_study, march, solve_ibvp)
 from .verify import (DeterminingResiduals, EmptySweepError, LinearReductionOperator,
@@ -33,9 +32,9 @@ __all__ = [
     "NumericSolution", "Point", "ReductionOperatorCoefficients", "Region",
     "RiccatiBranch", "ScalarField", "SingularPointError", "SolutionField",
     "SweepReport", "WellPosednessError", "apply_point", "apply_u",
-    "build_solution", "case5_theta_reduction_check", "catalog_json", "compare",
+    "build_solution", "catalog_json", "compare",
     "compose", "constant_field", "convergence_study", "determining_residuals",
-    "eval_case", "fd_jet", "gbe_residual", "gbe_residual_scaled",
+    "eval_case", "gbe_residual", "gbe_residual_scaled",
     "get_case", "gfde_residual", "gfde_residual_scaled", "identity", "inverse",
     "iter_cases", "linear_operator_fields", "march", "matched_branch", "phi", "phi_prime",
     "pfde_residual", "pfde_residual_scaled", "potential_residual",

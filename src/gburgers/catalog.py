@@ -327,24 +327,6 @@ def eval_case(case_id: int, p: Point, lam: Optional[float] = None) -> tuple[floa
     return (entry.f.value(*p), entry.xi.value(*p), entry.theta.value(*p))
 
 
-def case5_theta_reduction_check(p: Point) -> float:
-    """|theta_5(p) - ln|x - t|| for the reducible parameter value lam = 0.
-
-    At lam = 0 the integrand of case 5 is 1/(w-1), whose antiderivative
-    anchored at w0 = 2 is ln|w-1|, so theta = ln|t| + ln|x/t - 1| =
-    ln|x - t| with no leftover constant.  Returns the absolute mismatch,
-    which should vanish to quadrature accuracy.
-    """
-    entry = get_case(5, 0.0)
-    t, x = p
-    if not (t > 0.0 and x / t > 1.0):
-        raise SingularPointError(
-            f"reduction check requires t > 0 and x/t > 1, got {tuple(p)}")
-    if abs(x - t) <= EPS_DEN:
-        raise SingularPointError(f"x = t is a logarithmic singularity at lam = 0, got {tuple(p)}")
-    return abs(entry.theta.value(t, x) - math.log(abs(x - t)))
-
-
 def catalog_json(lam: Optional[float] = None) -> list[dict]:
     """Plain-data form of the whole catalog (for JSON export)."""
     return [e.to_dict() for e in iter_cases(lam)]

@@ -280,6 +280,7 @@ def cmd_transform(element, case_id, kind, nu, c1, c2, lam, region, res, recheck,
 
     grid, u = evaluate_grid(_values(tsol.u), reg, n_t, n_x, tsol.valid)
     ok = ~np.isnan(u)
+    EmptySweepError.require(int(ok.sum()), reg, n_t, n_x)
     meta = {"element": g.to_dict(), "source": sol.provenance,
             "transformed_f": f"kappa^2/det * [{entry.f_expr}] pulled back through "
                              f"the inverse element",

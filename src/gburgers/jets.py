@@ -3,8 +3,7 @@
 A :class:`Jet3` carries the value of a field at a point together with all
 partial derivatives up to total order three.  Jets are computed by forward
 propagation of truncated bivariate Taylor coefficients, never by finite
-differences; :func:`fd_jet` provides an independent central-difference
-oracle used only for cross-checking.
+differences.
 
 Field expressions are written against the elementary functions of this
 module (``exp``, ``log_abs``, ``sin``, ...), which accept plain floats,
@@ -643,43 +642,6 @@ class ScalarField:
 def constant_field(v: float) -> ScalarField:
     v = float(v)
     return ScalarField(lambda t, x: v, name=f"{v:g}")
-
-
-def fd_jet(field: ScalarField, p: Point, h: float = 1e-4) -> Jet3:
-    """Second-order central-difference approximation of all Jet3 entries.
-
-    Independent of :meth:`ScalarField.jet` (uses only pointwise field values);
-    meant for cross-validation in tests, not production use.
-    """
-    if h <= 0:
-        raise ValueError("stencil width h must be positive")
-    t, x = p
-
-    def F(dt: float, dx: float) -> float:
-        return field.value(t + dt, x + dx)
-
-    f00 = F(0, 0)
-    fp0, fm0 = F(h, 0), F(-h, 0)
-    f0p, f0m = F(0, h), F(0, -h)
-    fpp, fpm = F(h, h), F(h, -h)
-    fmp, fmm = F(-h, h), F(-h, -h)
-    f2p0, f2m0 = F(2 * h, 0), F(-2 * h, 0)
-    f02p, f02m = F(0, 2 * h), F(0, -2 * h)
-
-    h2 = h * h
-    h3 = h2 * h
-    return Jet3.from_derivatives(
-        v=f00,
-        d_t=(fp0 - fm0) / (2 * h),
-        d_x=(f0p - f0m) / (2 * h),
-        d_tt=(fp0 - 2 * f00 + fm0) / h2,
-        d_tx=(fpp - fpm - fmp + fmm) / (4 * h2),
-        d_xx=(f0p - 2 * f00 + f0m) / h2,
-        d_ttt=(f2p0 - 2 * fp0 + 2 * fm0 - f2m0) / (2 * h3),
-        d_ttx=(fpp - 2 * f0p + fmp - fpm + 2 * f0m - fmm) / (2 * h3),
-        d_txx=(fpp - 2 * fp0 + fpm - fmp + 2 * fm0 - fmm) / (2 * h3),
-        d_xxx=(f02p - 2 * f0p + 2 * f0m - f02m) / (2 * h3),
-    )
 
 
 # -- quadrature --------------------------------------------------------------

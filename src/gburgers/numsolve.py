@@ -23,9 +23,9 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .ansatz import SolutionField
-from .jets import EvaluationError, Point, Region, ScalarField, SingularPointError
+from .jets import EvaluationError, Region, ScalarField, SingularPointError
 
-#: number of time samples used to probe f (and u data) before stepping
+#: number of times at which f and the exact u are probed on the mesh before stepping
 _PROBE_NT = 65
 
 #: refuse runs that would take more steps than this
@@ -64,18 +64,22 @@ class IbvpSpec:
             raise ValueError("dt_safety must lie in (0, 1]")
 
     def initial_values(self, xs: np.ndarray) -> np.ndarray:
-        return _exact_sample(self.exact, self.region.t0, xs)
+        return _sample(self.exact.u, self.region.t0, xs)
 
     def boundary_values(self, t: float) -> tuple[float, float]:
         return (self.exact.u.value(t, self.region.x0), self.exact.u.value(t, self.region.x1))
 
 
-def _exact_sample(exact: SolutionField, t: float, xs: np.ndarray) -> np.ndarray:
-    """The exact solution at time t on the mesh.  A pole of phi is NaN on
-    arrays, and max/min would drop it silently, so a non-finite value raises."""
-    vals = exact.u.sample(t, xs)
-    if not np.all(np.isfinite(vals)):
-        raise SingularPointError(f"exact solution is singular on the mesh at t = {t}")
+def _sample(field: ScalarField, t, xs: np.ndarray, error=SingularPointError) -> np.ndarray:
+    """field at (t, xs), where t is a float or an array like xs.  A pole of
+    phi is NaN on arrays, and max/min would drop it silently, so the first
+    non-finite value in row-major order raises, naming its point."""
+    vals = field.sample(t, xs)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        i = bad[0]
+        raise error(f"non-finite value of field {field.name or '<anonymous>'} at (t, x) = "
+                    f"({np.broadcast_to(t, xs.shape)[i]:.6g}, {xs[i]:.6g})")
     return vals
 
 
@@ -88,49 +92,31 @@ class NumericSolution(NamedTuple):
     scheme_metadata: str
 
 
-def _probe_f(spec: IbvpSpec, xs: np.ndarray) -> tuple[float, float, Point]:
-    """(max f, max |f|, argmax of f) over a probe grid of the region."""
-    fmax = -math.inf
-    fabs = 0.0
-    arg = Point(spec.region.t0, spec.region.x0)
-    for t in np.linspace(spec.region.t0, spec.region.t1, _PROBE_NT):
-        vals = spec.f.sample(float(t), xs)
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationError(f"f is not finite on the region at t = {t}")
-        j = int(np.argmax(vals))
-        if vals[j] > fmax:
-            fmax = float(vals[j])
-            arg = Point(float(t), float(xs[j]))
-        fabs = max(fabs, float(np.max(np.abs(vals))))
-    return fmax, fabs, arg
-
-
 def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
     """March the IBVP on a uniform grid, yielding each time level in order
     and holding only the one being advanced.
 
     dt = dt_safety * min(dx^2/(2*max|f|), dx/(1 + max|u|)), rounded down so
-    the final step lands exactly on t1.  Every check runs before level 0, the
-    initial data; later levels carry the Dirichlet data at their ends.
+    the final step lands exactly on t1, with f and the exact u sampled once
+    each on one probe grid, _PROBE_NT rows of the mesh.  Every check runs
+    before level 0, the initial data; later levels carry the Dirichlet data
+    at their ends.
     Deterministic: identical specs produce bit-identical levels.
     """
     region = spec.region
     xs = np.linspace(region.x0, region.x1, spec.n_x + 1)
     dx = (region.x1 - region.x0) / spec.n_x
 
-    fmax, fabs, arg = _probe_f(spec, xs)
-    if fmax >= 0.0:
+    probe = region.points(_PROBE_NT, spec.n_x + 1)
+    fv = _sample(spec.f, probe.t, probe.x, EvaluationError)
+    j = int(np.argmax(fv))  # the first maximum in row-major order
+    if fv[j] >= 0.0:
         raise WellPosednessError(
             f"f must be strictly negative for forward integration; "
-            f"f = {fmax:.6g} at (t, x) = ({arg.t:.6g}, {arg.x:.6g})")
-
+            f"f = {fv[j]:.6g} at (t, x) = ({probe.t[j]:.6g}, {probe.x[j]:.6g})")
+    fabs = float(np.max(np.abs(fv)))
+    umax = float(np.max(np.abs(_sample(spec.exact.u, probe.t, probe.x))))
     u0 = spec.initial_values(xs)
-    umax = float(np.max(np.abs(u0)))
-    for t in np.linspace(region.t0, region.t1, _PROBE_NT):
-        bl, br = spec.boundary_values(float(t))
-        umax = max(umax, abs(bl), abs(br))
-    for t in np.linspace(region.t0, region.t1, 9):
-        umax = max(umax, float(np.max(np.abs(_exact_sample(spec.exact, float(t), xs)))))
 
     span = region.t1 - region.t0
     dt_bound = spec.dt_safety * min(dx * dx / (2.0 * fabs), dx / (1.0 + umax))
@@ -193,7 +179,7 @@ def solve_ibvp(spec: IbvpSpec) -> NumericSolution:
 
 def compare(num: NumericSolution, exact: SolutionField) -> tuple[float, float]:
     """(max, RMS) error of a time level against the exact solution."""
-    diff = num.u - _exact_sample(exact, num.t, num.xs)
+    diff = num.u - _sample(exact.u, num.t, num.xs)
     return (float(np.max(np.abs(diff))), float(np.sqrt(np.mean(diff * diff))))
 
 

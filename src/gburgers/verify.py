@@ -63,6 +63,14 @@ class VanishingCoefficientError(EvaluationError):
 class EmptySweepError(Exception):
     """Every point of a requested sweep was invalid."""
 
+    @classmethod
+    def require(cls, checked: int, region: Region, n_t: int, n_x: int) -> None:
+        """Raise unless some point of the n_t x n_x grid of ``region`` was
+        evaluated: nothing evaluated is not a success."""
+        if checked == 0:
+            raise cls(f"no valid points in {region} on a {n_t}x{n_x} grid "
+                      f"({n_t * n_x} skipped)")
+
 
 # -- pointwise residuals -----------------------------------------------------
 
@@ -367,8 +375,6 @@ def sweep(residual_fn: Callable[[Point], float], region: Region,
     finite = np.flatnonzero(np.isfinite(r))
     checked = int(finite.size)
     skipped = n_t * n_x - checked
-    if checked == 0:
-        raise EmptySweepError(
-            f"no valid points in {region} on a {n_t}x{n_x} grid ({skipped} skipped)")
+    EmptySweepError.require(checked, region, n_t, n_x)
     k = finite[int(np.argmax(r[finite]))]
     return SweepReport(float(r[k]), Point(float(grid.t[k]), float(grid.x[k])), checked, skipped)

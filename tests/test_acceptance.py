@@ -12,16 +12,16 @@ import pytest
 
 from gburgers.ansatz import RiccatiBranch, build_solution, phi, rational_solution, \
     riccati_residual, xi_solution
-from gburgers.catalog import case5_theta_reduction_check, get_case, iter_cases
+from gburgers.catalog import get_case, iter_cases
 from gburgers.equivalence import (EquivalenceElement, apply_point, apply_u, compose,
                                   identity, inverse, transform_solution)
-from gburgers.jets import Point, Region, ScalarField, SingularPointError, cos, \
-    fd_jet, sin
+from gburgers.jets import Point, Region, ScalarField, SingularPointError, cos, sin
 from gburgers.numsolve import IbvpSpec, convergence_study
 from gburgers.verify import (ReductionOperatorCoefficients, determining_residuals,
                              gbe_residual_scaled, gfde_residual_scaled,
                              pfde_residual_scaled, potential_residual_scaled,
                              reduced_system_residual_scaled, sweep)
+from oracles import case5_theta_reduction_check, fd_jet
 
 
 def report(number: int, name: str, ok: bool, detail: str, elapsed: float) -> None:

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from gburgers.catalog import (CASE5_W0, CatalogEntry, case5_theta_reduction_check,
-                              catalog_json, eval_case, get_case, iter_cases)
+from gburgers.catalog import (CASE5_W0, CatalogEntry, catalog_json, eval_case, get_case,
+                              iter_cases)
 from gburgers.jets import Point, SingularPointError
+from oracles import case5_theta_reduction_check
 
 
 def valid_points(entry, n, seed=0, box=None):
@@ -93,6 +94,12 @@ def test_case5_quadrature_anchor():
         entry = get_case(5, lam)
         t = 1.7
         assert entry.theta.value(t, CASE5_W0 * t) == pytest.approx(math.log(t), abs=1e-10)
+
+
+def test_case5_singular_at_the_anchor_is_refused():
+    # lambda = -e^2 makes the integrand's denominator w - 1 + lambda*e^{-w} vanish at w0 = 2
+    with pytest.raises(ValueError, match="singular at the quadrature anchor"):
+        get_case(5, -math.e ** 2)
 
 
 def test_case5_negative_lambda_has_single_root():

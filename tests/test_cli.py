@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -156,6 +157,23 @@ class TestTransform:
                                   "--case", "2", "--region", "0,1,-1,1"])
         assert res.exit_code == 2
 
+    def test_recheck_over_tolerance_exits_1(self, runner):
+        # the README's boost with no tolerance: the image's roundoff residual fails
+        res = runner.invoke(cli, ["transform", "--element", BOOST, "--case", "2", "--nu=-1",
+                                  "--region", "0,1,-1,1", "--recheck", "--tol", "0"])
+        assert res.exit_code == 1
+        assert json.loads(res.stderr)["recheck_pass"] is False
+
+    def test_no_point_evaluated_exits_3(self, runner):
+        # as with --recheck below: nothing evaluated is not a success
+        grid = ["--case", "7", "--region", "1,2,0,0", "--res", "3x3"]
+        res = runner.invoke(cli, ["transform", "--element", IDENTITY, "--nu", "0", "--c1", "4",
+                                  "--c2", "1", *grid])
+        ver = runner.invoke(cli, ["verify", "--which", "pfde", *grid])
+        assert res.exit_code == ver.exit_code == 3
+        assert res.stdout == ""
+        assert res.stderr == ver.stderr
+
     def test_recheck_with_no_point_checked_exits_3(self, runner):
         # every point of the column x = 0 is off case 7's domain, as in verify
         grid = ["--case", "7", "--region", "1,2,0,0", "--res", "3x3"]
@@ -225,7 +243,7 @@ class TestSolveAndConvergence:
         # data spiking between the probe times overflow after some levels
         # were written
         f = ScalarField(lambda t, x: -1.0)
-        u = ScalarField(lambda t, x: 0.0 * x + (1e200 if 0.408 < t < 0.420 else 0.0))
+        u = ScalarField(lambda t, x: 0.0 * x + np.where((0.408 < t) & (t < 0.420), 1e200, 0.0))
         spiky = IbvpSpec(f=f, region=Region(0.0, 1.0, -1.0, 1.0), n_x=16,
                          exact=SolutionField(u=u, f=f, provenance="spike",
                                              valid=lambda p: True))
@@ -271,12 +289,29 @@ class TestUsageErrors:
         ["solve", "--case", "2", *REGION, "--nx", "4"],
         ["solve", "--case", "2", *REGION, "--dt-safety", "2"],
         ["solve", "--case", "2", *REGION, "--c1", "0", "--c2", "0"],
+        ["eval", "--case", "2", *REGION, "--res", "5by5"],
+        ["eval", "--case", "2", *REGION, "--res", "1x5"],
+        ["convergence", "--case", "2", *REGION, "--resolutions", "16,32.5,64"],
     ], ids=lambda args: " ".join(args))
     def test_bad_input_exits_2_without_a_traceback(self, args):
         res = CliRunner().invoke(cli, args)
         assert res.exit_code == 2
         assert "Traceback" not in res.output
         assert "Error: " in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["list"],
+        ["eval", "--case", "2", "--nu=-1", *REGION, "--res", "5x5"],
+        ["verify", "--case", "7", "--which", "pfde", "--res", "9x9"],
+        ["convergence", "--case", "2", "--nu=-1", *REGION, "--resolutions", "8,16,32"],
+    ], ids=lambda args: args[0])
+    def test_out_holds_the_bytes_of_stdout(self, args, tmp_path):
+        out = tmp_path / "out"
+        to_stdout = CliRunner().invoke(cli, args, catch_exceptions=False)
+        to_file = CliRunner().invoke(cli, [*args, "--out", str(out)], catch_exceptions=False)
+        assert to_stdout.exit_code == to_file.exit_code == 0
+        assert to_file.stdout == ""
+        assert out.read_bytes() == to_stdout.stdout_bytes
 
     @pytest.mark.parametrize("args", [
         ["list"],

@@ -26,7 +26,7 @@ def solution(u):
 
 
 #: u is 1e200 for 0.408 < t < 0.420 and 0 elsewhere
-SPIKE = solution(lambda T, X: 0.0 * X + (1e200 if 0.408 < T < 0.420 else 0.0))
+SPIKE = solution(lambda T, X: 0.0 * X + np.where((0.408 < T) & (T < 0.420), 1e200, 0.0))
 
 
 def tanh_front_spec(n_x=64, region=Region(0.0, 1.0, -2.0, 2.0)):
@@ -120,7 +120,7 @@ class TestSolve:
 
     def test_blow_up_detected(self):
         # data with a spike between the pre-step probe times (multiples of
-        # 1/64 and of 1/8) but wider than dt: overflow mid-integration
+        # 1/64) but wider than dt: overflow mid-integration
         spec = IbvpSpec(f=F_MINUS_ONE, region=Region(0.0, 1.0, -1.0, 1.0), n_x=16,
                         exact=SPIKE)
         with pytest.raises(BlowUpError) as err:
@@ -188,14 +188,63 @@ class TestManufacturedDataOnAPole:
 
     def test_pole_at_an_interior_probe_time(self):
         # case 4, nu = 0, (c1, c2) = (-3/2, 1): theta = e^x + t meets the pole
-        # at (t, x) = (1/2, 0), one of the nine probe times, and at no point of
+        # at (t, x) = (1/2, 0), a point of the probe grid, and at no point of
         # the initial line or the boundaries
         entry = get_case(4)
         sol = build_solution(entry, RiccatiBranch(0.0, -1.5, 1.0))
         spec = IbvpSpec(f=entry.f, region=Region(0.0, 1.0, -1.0, 1.0), n_x=16, exact=sol)
         assert np.all(np.isfinite(spec.initial_values(np.linspace(-1.0, 1.0, 17))))
-        with pytest.raises(SingularPointError):
+        with pytest.raises(SingularPointError, match=r"at \(t, x\) = \(0\.5, 0\)"):
             solve_ibvp(spec)
+
+
+class TestProbeGrid:
+    """Before level 0 the march samples f and u once each on one probe grid,
+    65 rows of the mesh, and takes the sign check and the step bound from it."""
+
+    REGION = Region(0.0, 1.0, -1.0, 1.0)  # n_x = 16: dx = 1/8, probe times k/64
+
+    def test_each_field_is_sampled_once_before_level_0(self):
+        shapes = {"f": [], "u": []}
+
+        def counted(name, expr):
+            def recorded(T, X):
+                shapes[name].append(np.shape(X))
+                return expr(T, X)
+            return ScalarField(recorded, name=name)
+
+        f = counted("f", lambda T, X: -1.0 + 0.0 * X)
+        exact = SolutionField(u=counted("u", lambda T, X: 0.5 + 0.0 * X), f=f,
+                              provenance="test data", valid=lambda p: True)
+        levels = march(IbvpSpec(f=f, region=self.REGION, n_x=16, exact=exact))
+        next(levels)
+        # one f.sample and one u sample on the probe grid, then the initial data;
+        # no boundary value (a scalar u call) yet
+        assert shapes == {"f": [(65 * 17,)], "u": [(65 * 17,), (17,)]}
+        next(levels)
+        # level 1 reads the ends at its four stage and end times, pointwise
+        assert shapes["u"][2:] == [()] * 8
+
+    def test_step_bound_sees_a_peak_inside_a_probe_row(self):
+        # u peaks at 1000 at (3/64, 0): an interior point of a probe row that is
+        # not a multiple of 1/8; at t = 0, at every multiple of 1/8 and at the
+        # ends it stays below 2e-4
+        peak = solution(lambda T, X: 1000.0 * np.exp(-((T - 3 / 64) * 400.0) ** 2
+                                                      - (4.0 * X) ** 2))
+        spec = IbvpSpec(f=F_MINUS_ONE, region=self.REGION, n_x=16, exact=peak)
+        steps = math.ceil(1.0 / (0.8 * 0.125 / (1.0 + 1000.0)))
+        assert f"steps={steps}," in next(march(spec)).scheme_metadata
+
+    def test_non_finite_f_names_its_first_point(self):
+        # inf, not a numpy warning, in the top right quarter; the first such
+        # probe point in row-major order is (33/64, 5/8), and the check comes
+        # before the sign check that inf would fail
+        f = ScalarField(lambda T, X: np.where((T > 0.5) & (X > 0.5), math.inf, -1.0))
+        spec = IbvpSpec(f=f, region=self.REGION, n_x=16, exact=ZERO_SOL)
+        with pytest.raises(EvaluationError,
+                           match=r"at \(t, x\) = \(0\.515625, 0\.625\)") as err:
+            next(march(spec))
+        assert not isinstance(err.value, (SingularPointError, WellPosednessError))
 
 
 class TestCompare:

@@ -6,7 +6,7 @@ import pytest
 from gburgers.ansatz import RiccatiBranch, build_solution
 from gburgers.catalog import get_case, iter_cases
 from gburgers.equivalence import EquivalenceElement, apply_point, transform_solution
-from gburgers.jets import EvaluationError, Point, Region, ScalarField, exp, fd_jet, tanh
+from gburgers.jets import EvaluationError, Point, Region, ScalarField, exp, tanh
 from gburgers.verify import (DegenerateGradientError, EmptySweepError, SweepReport,
                              LinearReductionOperator, ReductionOperatorCoefficients,
                              VanishingCoefficientError, determining_residuals,
@@ -17,6 +17,7 @@ from gburgers.verify import (DegenerateGradientError, EmptySweepError, SweepRepo
                              potential_residual_scaled,
                              reduced_system_residual, reduced_system_residual_scaled,
                              sweep)
+from oracles import fd_jet
 
 F_MINUS_ONE = ScalarField(lambda T, X: -1.0, name="-1")
 ZERO = ScalarField(lambda T, X: 0.0, name="0")

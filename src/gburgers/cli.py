@@ -117,17 +117,16 @@ def _write_levels(levels, out: str) -> NumericSolution:
     return num
 
 
-def _value_or_nan(u, t: float, x: float) -> float:
-    try:
-        return u.value(t, x)
-    except EvaluationError:
-        return math.nan
-
-
 def _values(u):
     """The value function of u for :func:`evaluate_grid`: ``u.value`` at
-    each point, whose ``math`` bits the goldens pin, NaN where it fails."""
-    return lambda p: [_value_or_nan(u, t, x) for t, x in zip(p.t.tolist(), p.x.tolist())]
+    each point of the broadcast pair in row-major order, shaped as the
+    pair, whose ``math`` bits the goldens pin; NaN where it fails."""
+    def value(t, x):
+        try:
+            return u.value(t, x)
+        except EvaluationError:
+            return math.nan
+    return lambda p: np.reshape([value(t, x) for t, x in np.broadcast(*p)], np.broadcast(*p).shape)
 
 
 _solution_opts = [

@@ -10,24 +10,25 @@ module (``exp``, ``log_abs``, ``sin``, ...), which accept plain floats,
 numpy arrays, and jets, so the same closed form serves pointwise
 evaluation, vectorized sampling, and exact differentiation.
 
-Array jets.  The coefficients of a jet are floats or equal-length 1-D float
-arrays, one element per point, so one jet can carry a whole grid (Taylor-mode
-forward differentiation with the grid as the batch dimension).  Entries
-that do not depend on the point, such as the 1.0 of ``variable_t``, may stay
-floats.  Arithmetic acts elementwise.  The elementary functions take their
-values at each element through :mod:`math`, and integer powers through
-Python's ``**``, because numpy's versions can differ from those in the last
-bit; so every element of an array jet is bit-identical to the jet of that
-point computed alone.  Where a jet of a single point raises
-:class:`EvaluationError` (zero divisor, log of zero, coth at zero, overflow
-or domain error in :mod:`math`), the element becomes NaN and the others are
-unaffected.  ``ScalarField.jet`` takes a :class:`Point` of arrays and
-returns such a jet, NaN in all ten entries at every element whose jet is
-not finite.  Plain arrays (``ScalarField.sample``) keep numpy's ufuncs.
-:func:`fail_where` is the one place that knows this policy: every
-deliberate exclusion of the package (a zero divisor, a pole of a Riccati
-branch, a vanishing f or theta_x, a projective singularity, a failed
-quadrature) goes through it.
+Array jets.  The coefficients of a jet are floats or float arrays that
+broadcast against each other, one element per point, so one jet can carry a
+whole grid (Taylor-mode forward differentiation with the grid as the batch
+dimension): on a column of t and a row of x, an entry of t alone stays a
+column.  Entries that do not depend on the point, such as the 1.0 of
+``variable_t``, may stay floats.  Arithmetic acts elementwise.  The
+elementary functions take their values at each element through :mod:`math`,
+and integer powers through Python's ``**``, because numpy's versions can
+differ from those in the last bit; so every element of an array jet is
+bit-identical to the jet of that point computed alone.  Where a jet of a
+single point raises :class:`EvaluationError` (zero divisor, log of zero,
+coth at zero, overflow or domain error in :mod:`math`), the element becomes
+NaN and the others are unaffected.  ``ScalarField.jet`` takes a
+:class:`Point` of arrays and returns such a jet, NaN in all ten entries at
+every element whose jet is not finite.  Plain arrays
+(``ScalarField.sample``) keep numpy's ufuncs.  :func:`fail_where` is the one
+place that knows this policy: every deliberate exclusion of the package (a
+zero divisor, a pole of a Riccati branch, a vanishing f or theta_x, a
+projective singularity, a failed quadrature) goes through it.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class SingularPointError(EvaluationError):
 
 
 class Point(NamedTuple):
-    """A point (t, x); t and x may also be equal-length 1-D arrays of points."""
+    """A point (t, x); t and x may also be arrays that broadcast against each other."""
 
     t: float
     x: float
@@ -156,7 +157,8 @@ _NUMBER = (int, float, np.ndarray)  # numbers to Jet3's +, - and *; an array per
 
 
 def _coeff(v):
-    """A jet coefficient: a float, or a 1-D float array with one element per point."""
+    """A jet coefficient: a float, or a float array with one element per point,
+    which broadcasts against the other coefficients."""
     return np.asarray(v, dtype=float) if isinstance(v, np.ndarray) else float(v)
 
 
@@ -213,7 +215,8 @@ class Jet3:
     Closed under arithmetic and composition with smooth univariate
     functions; singular operations (division by zero constant part, log at
     zero, ...) raise :class:`EvaluationError`, or give NaN at the failing
-    elements of an array jet (see the module docstring).
+    elements of an array jet, whose coefficients broadcast against each
+    other (see the module docstring).
 
     The truncated product and the composition are written out term by term.
     Each coefficient is the sum a loop over the table of product terms
@@ -295,20 +298,18 @@ class Jet3:
     def d_xxx(self) -> float:
         return 6.0 * self.c[9]
 
+    _NAMES = ("v", "d_t", "d_x", "d_tt", "d_tx", "d_xx", "d_ttt", "d_ttx", "d_txx", "d_xxx")
+
     def entries(self) -> tuple[float, ...]:
-        """All ten derivatives in the order (v, d_t, d_x, d_tt, d_tx, d_xx,
-        d_ttt, d_ttx, d_txx, d_xxx)."""
-        return (self.v, self.d_t, self.d_x, self.d_tt, self.d_tx, self.d_xx,
-                self.d_ttt, self.d_ttx, self.d_txx, self.d_xxx)
+        """All ten derivatives, in the order of ``_NAMES``: v, d_t, d_x, ..., d_xxx."""
+        return tuple(getattr(self, name) for name in self._NAMES)
 
     def __repr__(self) -> str:
-        names = ("v", "d_t", "d_x", "d_tt", "d_tx", "d_xx",
-                 "d_ttt", "d_ttx", "d_txx", "d_xxx")
         def show(e):
             if isinstance(e, np.ndarray):
                 return np.array2string(e, precision=6, separator=", ")
             return f"{e:.6g}"
-        body = ", ".join(f"{n}={show(e)}" for n, e in zip(names, self.entries()))
+        body = ", ".join(f"{n}={show(e)}" for n, e in zip(self._NAMES, self.entries()))
         return f"Jet3({body})"
 
     # -- arithmetic --------------------------------------------------------
@@ -574,9 +575,7 @@ class ScalarField:
         """
         t, x = p
         array = isinstance(t, np.ndarray) or isinstance(x, np.ndarray)
-        if array:
-            t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-        elif not (math.isfinite(t) and math.isfinite(x)):
+        if not (array or math.isfinite(t) and math.isfinite(x)):
             raise ValueError(f"non-finite evaluation point {p!r}")
         # only arrays reach numpy; its warnings at bad elements become the NaN mask below
         with np.errstate(all="ignore") if array else nullcontext():
@@ -673,10 +672,8 @@ def _sample(g: Callable, c, h) -> np.ndarray:
     (equal-length 1-D arrays, or the floats of one subinterval), in one
     call: row j holds node j of every subinterval."""
     nodes = (c + h * _NODES).ravel()
-    with np.errstate(all="ignore"):
-        f = np.asarray(g(nodes), dtype=float)
-    if f.shape != nodes.shape:  # an integrand that does not depend on w
-        f = np.broadcast_to(f, nodes.shape)
+    with np.errstate(all="ignore"):  # broadcast: an integrand may not depend on w
+        f = np.broadcast_to(np.asarray(g(nodes), dtype=float), nodes.shape)
     return f.reshape(15, -1)
 
 

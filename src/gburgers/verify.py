@@ -19,9 +19,9 @@ two.  The ``*_scaled`` form is the largest over the equations of
 across fields spanning orders of magnitude.  The determining system takes
 its scales from the same rule.
 
-Every operator also takes a :class:`Point` whose t and x are equal-length
-1-D arrays and then returns arrays, one element per point, each
-bit-identical to the residual of that point taken alone (array jets, see
+Every operator also takes a :class:`Point` whose t and x are arrays that
+broadcast against each other and then returns arrays, one element per point,
+each bit-identical to the residual of that point taken alone (array jets, see
 :mod:`gburgers.jets`).  Where a single point raises
 :class:`EvaluationError` (a jet that fails, theta_x or f within
 ``EPS_COEFF`` of zero), the element is NaN: both come from
@@ -32,6 +32,7 @@ bit-identical to the residual of that point taken alone (array jets, see
 from __future__ import annotations
 
 import functools
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -335,16 +336,18 @@ def evaluate_grid(fn: Callable[[Point], object], region: Region, n_t: int, n_x: 
     its points.
 
     ``valid`` is a validity predicate (see :func:`gburgers.jets.valid_mask`)
-    and is asked once, at the whole grid; it returns one bool per point, or
-    a lone bool for every point.  ``fn`` is then called once, on a
-    :class:`Point` holding the valid grid points in the same order, and
-    must return one value per point (a float counts for every point).
-    The residuals of this module, fed fields written against
-    :mod:`gburgers.jets`, do so, and each element is bit-identical to a
-    call at that point alone.  The value is NaN at an invalid point, and at
-    every point if ``fn`` raises :class:`EvaluationError` for the whole
-    batch.  Poles of the Riccati branches are NaN on arrays, so a branch
-    evaluated with the catalog predicate alone is NaN there too.
+    and is asked once, at the whole grid.  ``fn`` is then called once, and
+    only on valid points: on ``Point(ts[:, None], xs[None, :])``, the column
+    of n_t times and the row of n_x abscissae, when all are valid, and
+    otherwise on a Point of 1-D arrays holding the valid points in row-major
+    order.  Its result must broadcast to (n_t, n_x) or to one value per
+    point (a float counts for every point).  The residuals of this module,
+    fed fields written against :mod:`gburgers.jets`, give such arrays, each
+    element bit-identical to a call at that point alone.  The value is NaN
+    at an invalid point, and at every point if ``fn`` raises
+    :class:`EvaluationError` for the whole batch.  Poles of the Riccati
+    branches are NaN on arrays, so a branch evaluated with the catalog
+    predicate alone is NaN there too.
     """
     if n_t < 2 or n_x < 2:
         raise ValueError("grid must be at least 2x2")
@@ -352,11 +355,10 @@ def evaluate_grid(fn: Callable[[Point], object], region: Region, n_t: int, n_x: 
     keep = np.ones(grid.t.size, dtype=bool) if valid is None else valid_mask(valid, grid)
     values = np.full(grid.t.size, np.nan)
     if keep.any():
-        try:
-            with np.errstate(all="ignore"):
-                values[keep] = np.broadcast_to(fn(Point(grid.t[keep], grid.x[keep])), keep.sum())
-        except EvaluationError:
-            pass
+        p = (Point(grid.t[::n_x, None], grid.x[None, :n_x]) if keep.all()
+             else Point(grid.t[keep], grid.x[keep]))
+        with suppress(EvaluationError), np.errstate(all="ignore"):
+            values[keep] = np.broadcast_to(fn(p), np.broadcast(*p).shape).ravel()
     return grid, values
 
 

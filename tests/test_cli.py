@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gburgers.ansatz import SolutionField
+from gburgers.ansatz import RiccatiBranch, SolutionField, build_solution
+from gburgers.catalog import get_case
 from gburgers.cli import _write_levels, cli
+from gburgers.equivalence import EquivalenceElement, transform_solution
 from gburgers.jets import Region, ScalarField, constant_field
 from gburgers.numsolve import BlowUpError, IbvpSpec, march
 
@@ -93,6 +95,29 @@ class TestEval:
     def test_bad_region_is_usage_error(self, runner):
         res = runner.invoke(cli, ["eval", "--case", "2", "--region", "0,1", "--res", "3x3"])
         assert res.exit_code == 2
+
+
+class TestNonSquareGrid:
+    """A 3x5 grid: a swap of n_t and n_x, which a square grid cannot show,
+    would put the rows out of row-major (t, x) order."""
+
+    @pytest.mark.parametrize("command", [["eval"], ["transform", "--element", BOOST]],
+                             ids=lambda command: command[0])
+    def test_rows_in_row_major_order_with_the_values_of_u(self, command):
+        res = CliRunner().invoke(cli, [*command, "--case", "2", "--nu", "-1", "--region",
+                                       "0,1,-2,2", "--res", "3x5"], catch_exceptions=False)
+        assert res.exit_code == 0
+        lines = res.stdout.splitlines()
+        assert lines[0] == "t,x,u"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        ts, xs = Region(0.0, 1.0, -2.0, 2.0).grid(3, 5)
+        assert [(t, x) for t, x, _ in rows] == [(t, x) for t in ts.tolist() for x in xs.tolist()]
+        sol = build_solution(get_case(2), RiccatiBranch(-1.0, 1.0, 1.0))
+        if command[0] == "transform":
+            sol = transform_solution(EquivalenceElement.from_dict(json.loads(BOOST)), sol)
+        # + 0.0: the CSV writes -0.0 as 0
+        assert [u.hex() for _, _, u in rows] == [(sol.u.value(t, x) + 0.0).hex()
+                                                 for t, x, _ in rows]
 
 
 class TestVerify:

@@ -2,7 +2,8 @@
 
 Random Riccati branches are evaluated at random abscissae together with
 the exact poles of each branch, and random group elements at random times
-together with their projective singularity.
+together with their projective singularity.  Random sweeps of the catalog's
+relations are compared with the per-point reference sweep.
 """
 
 import math
@@ -13,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gburgers.ansatz import RiccatiBranch, phi, phi_prime
+from gburgers.catalog import iter_cases
 from gburgers.equivalence import EquivalenceElement, apply_point
-from gburgers.jets import Jet3, Point, SingularPointError
+from gburgers.jets import Jet3, Point, Region, SingularPointError
+from gburgers.verify import EmptySweepError, sweep
+from test_verify import reference_sweep, relation_fns, report_bits
 
 coefficient = st.floats(-2.0, 2.0)
 nus = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
@@ -109,3 +113,38 @@ def test_apply_point_on_arrays_matches_each_point(case):
         except SingularPointError:
             want = (math.nan, math.nan)
         assert hexes((q.t[i], q.x[i])) == hexes(want), (t, x)
+
+
+CASES = iter_cases()
+RELATIONS = tuple(relation_fns(CASES[0]))
+fraction = st.floats(0.0, 1.0)
+grid_size = st.integers(2, 9)
+
+
+@st.composite
+def sweeps(draw):
+    """A catalog case, one of its relations, a sub-region of its sample
+    region (possibly of zero width) and a grid size."""
+    e = draw(st.sampled_from(CASES))
+    r = e.sample_region
+    (a, b), (c, d) = (sorted(draw(fraction) for _ in range(2)) for _ in range(2))
+    region = Region(r.t0 + a * (r.t1 - r.t0), r.t0 + b * (r.t1 - r.t0),
+                    r.x0 + c * (r.x1 - r.x0), r.x0 + d * (r.x1 - r.x0))
+    return e, draw(st.sampled_from(RELATIONS)), region, draw(grid_size), draw(grid_size)
+
+
+def bits_or_empty(sweep_fn, *args, **kwargs):
+    try:
+        return report_bits(sweep_fn(*args, **kwargs))
+    except EmptySweepError:
+        return "empty"
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweeps())
+def test_sweep_is_deterministic_and_matches_the_reference(case):
+    e, name, region, n_t, n_x = case
+    fn = relation_fns(e)[name]
+    got = bits_or_empty(sweep, fn, region, n_t, n_x, valid=e.valid)
+    assert got == bits_or_empty(sweep, fn, region, n_t, n_x, valid=e.valid)
+    assert got == bits_or_empty(reference_sweep, fn, region, n_t, n_x, e.valid)

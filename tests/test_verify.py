@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gburgers import jets
 from gburgers.ansatz import RiccatiBranch, build_solution
 from gburgers.catalog import get_case, iter_cases
 from gburgers.equivalence import EquivalenceElement, apply_point, transform_solution
@@ -293,6 +294,64 @@ class TestSweep:
         assert d["max_abs_residual"] == 1.0
         assert d["argmax"] == {"t": 0.0, "x": -1.0}  # lexicographic tie-break
         assert d["scale_used"] == "relative"
+
+
+class TestBroadcastGrid:
+    """A grid whose points are all valid reaches ``fn`` as a column of t
+    and a row of x; one with invalid points as its valid points in 1-D."""
+
+    def test_fn_gets_the_broadcast_pair_only_when_every_point_is_valid(self):
+        calls = []
+
+        def fn(p):
+            calls.append(p)
+            return p.t + p.x
+
+        region = Region(1.0, 2.0, -1.0, 1.0)
+        grid, values = evaluate_grid(fn, region, 3, 5, valid=lambda p: p.t > 0.0)
+        ts, xs = calls[-1]
+        assert ts.shape == (3, 1) and xs.shape == (1, 5)
+        assert ts.ravel().tolist() == [1.0, 1.5, 2.0]
+        assert xs.ravel().tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert values.tolist() == (grid.t + grid.x).tolist()
+        evaluate_grid(fn, region, 3, 5, valid=get_case(7).valid)  # the column x = 0 is invalid
+        ts, xs = calls[-1]
+        assert ts.shape == xs.shape == (12,)
+        assert xs.tolist() == [-1.0, -0.5, 0.5, 1.0] * 3
+
+    def test_a_t_only_subexpression_is_computed_once_per_row(self, monkeypatch):
+        seen = []
+
+        def counted(fn, u, *args):
+            seen.append((fn, np.size(u)))
+            return pointwise(fn, u, *args)
+
+        pointwise = jets._pointwise
+        monkeypatch.setattr(jets, "_pointwise", counted)
+        field = ScalarField(lambda T, X: exp(-T) * X)
+        region = Region(0.0, 1.0, -1.0, 2.0)
+        grid, values = evaluate_grid(lambda p: field.jet(p).d_x, region, 7, 9)
+        assert sum(n for fn, n in seen if fn is math.exp) == 7
+        monkeypatch.undo()
+        assert values.tolist() == [field.jet(Point(t, x)).d_x
+                                   for t, x in zip(grid.t.tolist(), grid.x.tolist())]
+
+    def test_a_float_or_a_column_fills_the_whole_grid(self):
+        region = Region(0.0, 1.0, -1.0, 1.0)
+        grid, values = evaluate_grid(lambda p: 2.5, region, 4, 6)
+        assert values.tolist() == [2.5] * 24
+        grid, values = evaluate_grid(lambda p: 2.0 * p.t, region, 4, 6)
+        assert values.tolist() == (2.0 * grid.t).tolist()
+        grid, values = evaluate_grid(lambda p: -p.x, region, 4, 6)
+        assert values.tolist() == (-grid.x).tolist()
+
+    @pytest.mark.parametrize("region", [Region(1.0, 2.0, 0.5, 0.5), Region(1.5, 1.5, 1.0, 3.0)],
+                             ids=["x0==x1", "t0==t1"])
+    def test_a_degenerate_region_matches_the_reference(self, region):
+        e = get_case(7)
+        for fn in relation_fns(e).values():
+            rep = assert_same_as_reference(fn, region, 5, 3, valid=e.valid)
+            assert (rep.points_checked, rep.points_skipped) == (15, 0)
 
 
 @pytest.mark.parametrize("entry", iter_cases(), ids=lambda e: f"case{e.id}")

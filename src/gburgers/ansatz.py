@@ -24,7 +24,7 @@ import numpy as np
 
 from .catalog import EPS_DEN, CatalogEntry
 from .jets import (Jet3, Point, ScalarField, SingularPointError, cos, exp, fail_where,
-                   refine, sin, where)
+                   refine, require_finite, sin, where)
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ class RiccatiBranch:
     c2: float
 
     def __post_init__(self) -> None:
+        require_finite(nu=self.nu, c1=self.c1, c2=self.c2)
         if self.c1 == 0.0 and self.c2 == 0.0:
             raise ValueError("family constants (c1, c2) must not both vanish")
 
@@ -163,6 +164,7 @@ def rational_solution(c1: float, c2: float, f: ScalarField) -> SolutionField:
     u_xx = 0 kills the diffusion term and u_t + u*u_x = 0 identically, so
     the only restriction is the line t = -c2.
     """
+    require_finite(c1=c1, c2=c2)
     u = ScalarField(lambda T, X: (X + c1) / (T + c2), name=f"(x+{c1:g})/(t+{c2:g})")
 
     def valid(p: Point):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .jets import (Antiderivative, Point, Region, ScalarField,
                    SingularPointError, arctan, cos, cosh, coth, exp, log_abs,
-                   refine, sin, sinh, tan, tanh, valid_mask)
+                   refine, require_finite, sin, sinh, tan, tanh, valid_mask)
 
 #: absolute (not scale-aware) margin used by all validity predicates to keep
 #: denominators away from zero
@@ -102,7 +102,10 @@ def _case5_denominator_roots(lam: float) -> tuple[float, ...]:
         return (1.0,)
 
     def d(w: float) -> float:
-        return w - 1.0 + lam * math.exp(-w)
+        try:
+            return w - 1.0 + lam * math.exp(-w)
+        except OverflowError:  # exp(-w) beyond the floats, yet lam*exp(-w) need not be
+            return w - 1.0 + math.copysign(math.exp(math.log(abs(lam)) - w), lam)
 
     if lam > 0.0:
         m = math.log(lam)
@@ -142,6 +145,7 @@ def _bisect(d: Callable[[float], float], a: float, b: float) -> float:
 
 
 def _build_case5(lam: float) -> CatalogEntry:
+    require_finite(**{"lambda": lam})
     roots = _case5_denominator_roots(lam)
 
     def den(w):

@@ -25,10 +25,7 @@ from .equivalence import EquivalenceElement, transform_solution
 from .jets import EvaluationError, Region, csv_rows, csv_text, format_float
 from .numsolve import (BlowUpError, IbvpSpec, NumericSolution, WellPosednessError, compare,
                        convergence_study, march, solve_ibvp)
-from .verify import (EmptySweepError, ReductionOperatorCoefficients,
-                     determining_residuals, evaluate_grid, gbe_residual_scaled,
-                     pfde_residual_scaled, potential_residual_scaled,
-                     reduced_system_residual_scaled, sweep)
+from .verify import RELATIONS, EmptySweepError, evaluate_grid, gbe_residual_scaled, sweep
 
 EXIT_VERIFY_FAIL = 1
 EXIT_DOMAIN = 3
@@ -82,6 +79,12 @@ def _parse_res(text: str) -> tuple[int, int]:
     if nt < 2 or nx < 2:
         raise click.BadParameter("resolution must be at least 2x2", param_hint="--res")
     return nt, nx
+
+
+def _check_tol(ctx, param, tol: float) -> float:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise click.BadParameter(f"tolerance must be finite and >= 0, got {tol}")
+    return tol
 
 
 def _parse_element(text: str) -> EquivalenceElement:
@@ -208,30 +211,13 @@ def cmd_eval(case_id, kind, nu, c1, c2, lam, region, res, fmt, out):
         _emit(csv_text(ts, xs, us), out)
 
 
-_WHICH_CHOICES = ("gbe", "pfde", "potential", "reduced", "determining")
-
-
-def _case_residual_fn(entry: catalog.CatalogEntry, which: str):
-    if which == "gbe":
-        sol = xi_solution(entry)
-        return lambda p: gbe_residual_scaled(sol.u, sol.f, p)
-    if which == "pfde":
-        return lambda p: pfde_residual_scaled(entry.theta, p)
-    if which == "potential":
-        return lambda p: potential_residual_scaled(entry.theta, entry.f, entry.xi, p)
-    if which == "reduced":
-        return lambda p: reduced_system_residual_scaled(entry.f, entry.xi, p)
-    coeffs = ReductionOperatorCoefficients.from_xi(entry.xi)
-    return lambda p: determining_residuals(entry.f, coeffs, p).max_scaled
-
-
 @cli.command("verify")
 @click.option("--case", "case_id", type=int, default=None)
 @click.option("--all", "all_cases", is_flag=True)
-@click.option("--which", type=click.Choice(_WHICH_CHOICES), required=True)
+@click.option("--which", type=click.Choice(tuple(RELATIONS)), required=True)
 @click.option("--region", default=None, help="Defaults to the case's sample region.")
 @click.option("--res", default="50x50", show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True,
+@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_check_tol,
               help="Scaled-residual tolerance.")
 @click.option("--lambda", "lam", type=float, default=None)
 @click.option("--out", type=click.Path(), default=None)
@@ -246,7 +232,7 @@ def cmd_verify(case_id, all_cases, which, region, res, tol, lam, out):
     ok = True
     for entry in entries:
         reg = _parse_region(region) if region else entry.sample_region
-        rep = sweep(_case_residual_fn(entry, which), reg, n_t, n_x, valid=entry.valid)
+        rep = sweep(RELATIONS[which](entry), reg, n_t, n_x, valid=entry.valid)
         passed = rep.max_abs_residual <= tol
         ok = ok and passed
         reports.append({"case": entry.id, "which": which, "pass": passed,
@@ -265,7 +251,7 @@ def cmd_verify(case_id, all_cases, which, region, res, tol, lam, out):
 @click.option("--res", default="11x11", show_default=True)
 @click.option("--recheck", is_flag=True,
               help="Re-verify the transformed pair on the grid.")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_check_tol)
 @click.option("--out", type=click.Path(), default=None)
 @domain_errors_to_exit
 def cmd_transform(element, case_id, kind, nu, c1, c2, lam, region, res, recheck, tol, out):

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ansatz import SolutionField
-from .jets import Point, ScalarField, SingularPointError, fail_where, refine
+from .jets import Point, ScalarField, SingularPointError, fail_where, refine, require_finite
 
 _EPS_SINGULAR = 1e-13
 
@@ -46,6 +46,7 @@ class EquivalenceElement:
     kappa: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(**{name: getattr(self, name) for name in _KEYS})
         a, b, g, d = (float(self.alpha), float(self.beta),
                       float(self.gamma), float(self.delta))
         det = a * d - b * g

@@ -63,9 +63,17 @@ class Point(NamedTuple):
     x: float
 
 
+def require_finite(**values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite:
+    a parameter given as inf or NaN is bad input, not a singular point."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class Region:
-    """Closed rectangle [t0, t1] x [x0, x1]."""
+    """Closed rectangle [t0, t1] x [x0, x1] with finite bounds and spans."""
 
     t0: float
     t1: float
@@ -73,6 +81,8 @@ class Region:
     x1: float
 
     def __post_init__(self) -> None:
+        require_finite(t0=self.t0, t1=self.t1, x0=self.x0, x1=self.x1)
+        require_finite(**{"t1 - t0": self.t1 - self.t0, "x1 - x0": self.x1 - self.x0})
         if not (self.t0 <= self.t1 and self.x0 <= self.x1):
             raise ValueError(f"degenerate region {self}")
 

@@ -27,6 +27,9 @@ each bit-identical to the residual of that point taken alone (array jets, see
 ``EPS_COEFF`` of zero), the element is NaN: both come from
 :func:`gburgers.jets.fail_where`, the one guard that knows this policy.
 :func:`evaluate_grid` evaluates a whole grid this way in one call.
+
+:data:`RELATIONS` wires each relation a catalog case must satisfy to the
+case's fields, once; ``gburgers verify --which`` sweeps its rows.
 """
 
 from __future__ import annotations
@@ -314,6 +317,25 @@ def linear_operator_fields(q: LinearReductionOperator) -> ReductionOperatorCoeff
     eta1 = ScalarField(lambda T, X: -(a * T + b2) / den(T), name="lin-eta1")
     eta0 = ScalarField(lambda T, X: (a * X + d1) / den(T), name="lin-eta0")
     return ReductionOperatorCoefficients(xi1=constant_field(0.0), xi0=xi0, eta1=eta1, eta0=eta0)
+
+
+# -- the relations of a catalog case -------------------------------------------
+
+def _determining_row(e):
+    coeffs = ReductionOperatorCoefficients.from_xi(e.xi)
+    return lambda p: determining_residuals(e.f, coeffs, p).max_scaled
+
+
+#: relation name -> row: row(e), for a catalog entry e (anything with f, xi and
+#: theta), is the relation's scaled residual as a function of a Point.  A row looks
+#: its residual up in this module when called, so a wrapper set there sees the call.
+RELATIONS: dict[str, Callable] = {
+    "gbe": lambda e: lambda p: gbe_residual_scaled(e.xi, e.f, p),  # u = xi solves the GBE
+    "pfde": lambda e: lambda p: pfde_residual_scaled(e.theta, p),
+    "potential": lambda e: lambda p: potential_residual_scaled(e.theta, e.f, e.xi, p),
+    "reduced": lambda e: lambda p: reduced_system_residual_scaled(e.f, e.xi, p),
+    "determining": _determining_row,
+}
 
 
 # -- grid sweeps ---------------------------------------------------------------

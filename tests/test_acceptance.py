@@ -17,10 +17,9 @@ from gburgers.equivalence import (EquivalenceElement, apply_point, apply_u, comp
                                   identity, inverse, transform_solution)
 from gburgers.jets import Point, Region, ScalarField, SingularPointError, cos, sin
 from gburgers.numsolve import IbvpSpec, convergence_study
-from gburgers.verify import (ReductionOperatorCoefficients, determining_residuals,
+from gburgers.verify import (RELATIONS, ReductionOperatorCoefficients, determining_residuals,
                              gbe_residual_scaled, gfde_residual_scaled,
-                             pfde_residual_scaled, potential_residual_scaled,
-                             reduced_system_residual_scaled, sweep)
+                             pfde_residual_scaled, sweep)
 from oracles import case5_theta_reduction_check, fd_jet
 
 
@@ -41,12 +40,8 @@ def test_criterion_01_catalog_soundness(entries):
     t0 = time.time()
     worst = 0.0
     for e in entries:
-        for fn in (
-            lambda p, e=e: pfde_residual_scaled(e.theta, p),
-            lambda p, e=e: potential_residual_scaled(e.theta, e.f, e.xi, p),
-            lambda p, e=e: reduced_system_residual_scaled(e.f, e.xi, p),
-        ):
-            rep = sweep(fn, e.sample_region, 50, 50, valid=e.valid)
+        for name in ("pfde", "potential", "reduced"):
+            rep = sweep(RELATIONS[name](e), e.sample_region, 50, 50, valid=e.valid)
             worst = max(worst, rep.max_abs_residual)
     elapsed = time.time() - t0
     report(1, "catalog soundness", worst <= 1e-10 and elapsed < 10.0,
@@ -309,9 +304,7 @@ def test_criterion_07_determining_system_reduction(entries):
     worst_common = 0.0
     common = ReductionOperatorCoefficients.common_operator()
     for e in entries:
-        coeffs = ReductionOperatorCoefficients.from_xi(e.xi)
-        rep = sweep(lambda p: determining_residuals(e.f, coeffs, p).max_scaled,
-                    e.sample_region, 20, 20, valid=e.valid)
+        rep = sweep(RELATIONS["determining"](e), e.sample_region, 20, 20, valid=e.valid)
         worst_xi = max(worst_xi, rep.max_abs_residual)
         rep_c = sweep(lambda p: determining_residuals(e.f, common, p).max_scaled,
                       e.sample_region, 20, 20, valid=e.valid)

@@ -8,16 +8,20 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gburgers import verify
 from gburgers.ansatz import RiccatiBranch, SolutionField, build_solution
 from gburgers.catalog import get_case
 from gburgers.cli import _write_levels, cli
 from gburgers.equivalence import EquivalenceElement, transform_solution
 from gburgers.jets import Region, ScalarField, constant_field
 from gburgers.numsolve import BlowUpError, IbvpSpec, march
+from gburgers.verify import RELATIONS, pfde_residual_scaled, sweep
 
 BOOST = '{"alpha":1,"beta":0,"gamma":0,"delta":1,"mu0":0,"mu1":3,"kappa":1}'
 IDENTITY = '{"alpha":1,"beta":0,"gamma":0,"delta":1,"mu0":0,"mu1":0,"kappa":1}'
 DEGENERATE = '{"alpha":1,"beta":2,"gamma":1,"delta":2,"mu0":0,"mu1":0,"kappa":1}'
+NAN_MU0 = '{"alpha":1,"beta":0,"gamma":0,"delta":1,"mu0":NaN,"mu1":0,"kappa":1}'
+INFINITE_KAPPA = '{"alpha":1,"beta":0,"gamma":0,"delta":1,"mu0":0,"mu1":0,"kappa":Infinity}'
 
 
 @pytest.fixture()
@@ -156,6 +160,33 @@ class TestVerify:
         res = run(runner, "verify", "--case", "9", "--which", "determining",
                   "--res", "10x10")
         assert res.exit_code == 0
+
+    @pytest.mark.parametrize("which", RELATIONS)
+    @pytest.mark.parametrize("case_args, entry, region", [
+        (["--case", "13"], get_case(13), get_case(13).sample_region),
+        # lambda = 1/2 puts the rays x/t = -1.678... and 0.768... inside the region
+        (["--case", "5", "--lambda", "0.5", "--region", "0.5,1,0.2,3"], get_case(5, 0.5),
+         Region(0.5, 1.0, 0.2, 3.0)),
+    ], ids=["case13", "case5-rays"])
+    def test_sweeps_the_row_of_the_relation_table(self, runner, which, case_args, entry,
+                                                  region):
+        res = runner.invoke(cli, ["verify", *case_args, "--which", which, "--res", "9x9"])
+        rep = sweep(RELATIONS[which](entry), region, 9, 9, valid=entry.valid)
+        passed = rep.max_abs_residual <= 1e-9
+        assert res.exit_code == (0 if passed else 1)
+        assert json.loads(res.output) == {"case": entry.id, "which": which, "pass": passed,
+                                          "tol": 1e-9, **rep.to_dict()}
+
+    def test_a_wrapper_on_the_module_attribute_sees_the_call(self, runner, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return pfde_residual_scaled(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "pfde_residual_scaled", counted)
+        run(runner, "verify", "--case", "13", "--which", "pfde", "--res", "9x9")
+        assert len(calls) == 1  # one call on the whole grid
 
 
 class TestTransform:
@@ -317,6 +348,19 @@ class TestUsageErrors:
         ["eval", "--case", "2", *REGION, "--res", "5by5"],
         ["eval", "--case", "2", *REGION, "--res", "1x5"],
         ["convergence", "--case", "2", *REGION, "--resolutions", "16,32.5,64"],
+        ["eval", "--case", "2", "--region", "0,inf,0,1"],
+        ["eval", "--case", "2", "--region=-1e308,1e308,0,1"],
+        ["eval", "--case", "2", "--solution", "rational", "--c1", "1", "--c2", "inf", *REGION],
+        ["eval", "--case", "2", "--nu", "nan", *REGION],
+        ["eval", "--case", "2", "--c1", "inf", *REGION],
+        ["eval", "--case", "5", "--lambda", "inf", "--region", "0.5,1,1.5,3"],
+        ["list", "--case", "5", "--lambda", "nan"],
+        ["transform", "--element", NAN_MU0, "--case", "2", *REGION],
+        ["transform", "--element", INFINITE_KAPPA, "--case", "2", *REGION],
+        ["verify", "--case", "7", "--which", "pfde", "--tol", "nan"],
+        ["verify", "--case", "7", "--which", "pfde", "--tol", "inf"],
+        ["verify", "--case", "7", "--which", "pfde", "--tol=-1"],
+        ["transform", "--element", IDENTITY, "--case", "2", *REGION, "--tol", "nan"],
     ], ids=lambda args: " ".join(args))
     def test_bad_input_exits_2_without_a_traceback(self, args):
         res = CliRunner().invoke(cli, args)

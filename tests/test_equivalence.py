@@ -35,6 +35,11 @@ class TestConstruction:
             EquivalenceElement(1.0, 2.0, 1.0, 2.0)  # det = 0
         with pytest.raises(ValueError):
             EquivalenceElement(1.0, 0.0, 0.0, 1.0, kappa=0.0)
+        for name in ("alpha", "beta", "gamma", "delta", "mu0", "mu1", "kappa"):
+            for v in (math.inf, -math.inf, math.nan):
+                d = {**identity().to_dict(), name: v}
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    EquivalenceElement.from_dict(d)
 
     def test_canonical_normalization(self):
         g = EquivalenceElement(2.0, 0.0, 0.0, 2.0)

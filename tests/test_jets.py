@@ -253,6 +253,10 @@ def test_region_helpers():
         Region.parse("0,1,2")
     with pytest.raises(ValueError):
         Region(1.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="x1 must be finite"):
+        Region(0.0, 1.0, 0.0, math.nan)
+    with pytest.raises(ValueError, match="t1 - t0 must be finite"):
+        Region(-1e308, 1e308, 0.0, 1.0)
 
 
 # -- reference kernel: the truncated product as a loop over its term table --

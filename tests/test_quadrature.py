@@ -3,7 +3,8 @@
 scipy and mpmath are the references here and only here: ``quad`` for the
 values and ``brentq`` for the roots of case 5's denominator, and mpmath at
 30 digits next to a root, where a value is too ill-conditioned for any
-double-precision rule.
+double-precision rule, and for the roots at a tiny lambda, where exp(-w)
+overflows.
 """
 
 import math
@@ -135,6 +136,17 @@ def test_roots_agree_with_brentq():
             # bisected to the last float: d changes sign next to r
             below, above = d(math.nextafter(r, -math.inf)), d(math.nextafter(r, math.inf))
             assert min(below * d(r), d(r) * above) <= 0.0, (lam, r)
+
+
+def test_roots_for_a_tiny_lambda_agree_with_mpmath():
+    # exp(-w) overflows at the left root, lam*exp(-w) does not
+    for lam in (1e-320, 5e-324):
+        left, right = _case5_denominator_roots(lam)
+        assert right == 1.0
+        with mpmath.workdps(50):
+            ref = mpmath.findroot(lambda w: w - 1 + mpmath.mpf(lam) * mpmath.exp(-w), left)
+            assert abs(left - ref) <= math.ulp(left) / 2, (lam, left, ref)
+    assert _case5_denominator_roots(1e-320)[0] == -743.4398729782224
 
 
 def counted(g):

@@ -8,7 +8,7 @@ from gburgers.ansatz import RiccatiBranch, build_solution
 from gburgers.catalog import get_case, iter_cases
 from gburgers.equivalence import EquivalenceElement, apply_point, transform_solution
 from gburgers.jets import EvaluationError, Point, Region, ScalarField, exp, tanh
-from gburgers.verify import (DegenerateGradientError, EmptySweepError, SweepReport,
+from gburgers.verify import (RELATIONS, DegenerateGradientError, EmptySweepError, SweepReport,
                              LinearReductionOperator, ReductionOperatorCoefficients,
                              VanishingCoefficientError, determining_residuals,
                              evaluate_grid, gbe_residual, gbe_residual_scaled, gfde_residual,
@@ -415,14 +415,11 @@ def assert_same_as_reference(fn, region, n_t, n_x, valid=None, min_checked=1):
 
 
 def relation_fns(e):
-    coeffs = ReductionOperatorCoefficients.from_xi(e.xi)
+    """The catalog relations of e, and test-only rows: the common operator
+    and the raw forms."""
     common = ReductionOperatorCoefficients.common_operator()
     return {
-        "pfde": lambda p: pfde_residual_scaled(e.theta, p),
-        "potential": lambda p: potential_residual_scaled(e.theta, e.f, e.xi, p),
-        "reduced": lambda p: reduced_system_residual_scaled(e.f, e.xi, p),
-        "xi_gbe": lambda p: gbe_residual_scaled(e.xi, e.f, p),
-        "determining": lambda p: determining_residuals(e.f, coeffs, p).max_scaled,
+        **{name: row(e) for name, row in RELATIONS.items()},
         "common": lambda p: determining_residuals(e.f, common, p).max_scaled,
         "pfde_raw": lambda p: pfde_residual(e.theta, p),
         "potential_raw": lambda p: sum(potential_residual(e.theta, e.f, e.xi, p)),
@@ -482,7 +479,7 @@ class TestBatchedSweepAcrossSkips:
         e = get_case(7)
         skipped = {name: assert_same_as_reference(fn, Region(1.0, 2.0, -1.0, 1.0), 9, 9)
                    .points_skipped for name, fn in relation_fns(e).items()}
-        assert skipped == {"pfde": 9, "potential": 9, "reduced": 0, "xi_gbe": 0,
+        assert skipped == {"pfde": 9, "potential": 9, "reduced": 0, "gbe": 0,
                            "determining": 9, "common": 9, "pfde_raw": 9,
                            "potential_raw": 9, "reduced_raw": 0, "gbe_raw": 0}
 

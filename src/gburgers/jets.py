@@ -107,9 +107,6 @@ class Region:
         return Region(self.t0 + margin, self.t1 - margin,
                       self.x0 + margin, self.x1 - margin)
 
-    def sample(self, rng: np.random.Generator) -> Point:
-        return Point(rng.uniform(self.t0, self.t1), rng.uniform(self.x0, self.x1))
-
 
 def format_float(v: float) -> str:
     """v to 17 significant digits, which read back as the same float; -0.0 as 0."""

@@ -2,10 +2,11 @@
 
 Method of lines: second-order central differences in space, classic
 fourth-order Runge-Kutta in time with a parabolic step restriction, and
-Dirichlet boundary rows pinned to data at every stage time.  With the sign
-convention u_t = -u*u_x - f*u_xx, forward integration is diffusive only
-for f < 0, so specs are rejected unless f stays strictly negative on the
-region.
+Dirichlet boundary rows pinned to data at every stage time.  The stage
+times are t_n = t0 + n*dt and t_n + dt/2, and f and the Dirichlet data are
+sampled once at each.  With the sign convention u_t = -u*u_x - f*u_xx,
+forward integration is diffusive only for f < 0, so specs are rejected
+unless f stays strictly negative on the region.
 
 The oracle is manufactured-only: the initial and boundary data are
 sampled from the exact solution being checked, so the measured error is
@@ -60,6 +61,8 @@ class IbvpSpec:
     def __post_init__(self) -> None:
         if self.n_x < 8:
             raise ValueError("n_x must be at least 8")
+        if not self.region.x0 < self.region.x1:
+            raise ValueError(f"the region's x span must be positive: x0 = x1 = {self.region.x0}")
         if not 0.0 < self.dt_safety <= 1.0:
             raise ValueError("dt_safety must lie in (0, 1]")
 
@@ -100,7 +103,9 @@ def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
     the final step lands exactly on t1, with f and the exact u sampled once
     each on one probe grid, _PROBE_NT rows of the mesh.  Every check runs
     before level 0, the initial data; later levels carry the Dirichlet data
-    at their ends.
+    at their ends.  Step n samples f and those data at t_n + dt/2, for k2 and
+    k3, and at t_{n+1} = t0 + (n+1)*dt, for k4, level n+1's ends and the next
+    k1, so each time of the grid is sampled once.
     Deterministic: identical specs produce bit-identical levels.
     """
     region = spec.region
@@ -149,21 +154,21 @@ def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
     t = float(region.t0)
     yield NumericSolution(t, xs, u0, meta)
     u = u0.copy()
-    u[0], u[-1] = spec.boundary_values(t)  # level 0's ends come from u0, k1's from the data
-    # each stage time is evaluated once: k2 and k3 share the midpoint data,
-    # and the ends of a level, taken at the t of the next k1, serve it
+    # t_{n+1}'s data serve k4, level n+1's ends and the next k1; level 0's ends come from u0
+    ends, f_n = spec.boundary_values(t), spec.f.sample(t, x_int)
+    u[0], u[-1] = ends
     for n in range(n_steps):
         # blow-up is detected below; numpy's error state is never held across a yield
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rhs(u, spec.f.sample(t, x_int))
+            k1 = rhs(u, f_n)
             tm = t + 0.5 * dt
             mid, fm = spec.boundary_values(tm), spec.f.sample(tm, x_int)
             k2 = rhs(stage(u, 0.5 * dt, k1, mid), fm)
             k3 = rhs(stage(u, 0.5 * dt, k2, mid), fm)
-            k4 = rhs(stage(u, dt, k3, spec.boundary_values(t + dt)),
-                     spec.f.sample(t + dt, x_int))
             t = region.t0 + (n + 1) * dt
-            u = stage(u, dt / 6.0, k1 + 2.0 * k2 + 2.0 * k3 + k4, spec.boundary_values(t))
+            ends, f_n = spec.boundary_values(t), spec.f.sample(t, x_int)
+            k4 = rhs(stage(u, dt, k3, ends), f_n)
+            u = stage(u, dt / 6.0, k1 + 2.0 * k2 + 2.0 * k3 + k4, ends)
         if not np.all(np.isfinite(u[1:-1])):
             raise BlowUpError(f"solution blew up between t = {t - dt} and t = {t}",
                               last_stable_time=t - dt)
@@ -194,7 +199,11 @@ class ConvergenceReport:
     non_monotone: bool    # errors did not decrease under refinement
 
     def to_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        """The report as JSON values: a degenerate study's order, NaN here, is None."""
+        d = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        if self.degenerate:
+            d["observed_order"] = None
+        return d
 
 
 #: errors below this are considered to sit on the roundoff floor

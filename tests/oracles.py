@@ -5,12 +5,18 @@ values, so it shares nothing with the forward propagation of
 :meth:`gburgers.jets.ScalarField.jet` (criterion 8).
 ``case5_theta_reduction_check`` compares case 5's quadrature with the closed
 form it reduces to at lambda = 0 (criterion 10).
+``sample_point`` draws the random points at which tests make such comparisons.
 """
 
 import math
 
 from gburgers.catalog import EPS_DEN, get_case
-from gburgers.jets import Jet3, Point, ScalarField, SingularPointError
+from gburgers.jets import Jet3, Point, Region, ScalarField, SingularPointError
+
+
+def sample_point(region: Region, rng) -> Point:
+    """A point drawn uniformly from ``region`` by the numpy Generator ``rng``."""
+    return Point(rng.uniform(region.t0, region.t1), rng.uniform(region.x0, region.x1))
 
 
 def fd_jet(field: ScalarField, p: Point, h: float = 1e-4) -> Jet3:

@@ -20,7 +20,7 @@ from gburgers.numsolve import IbvpSpec, convergence_study
 from gburgers.verify import (RELATIONS, ReductionOperatorCoefficients, determining_residuals,
                              gbe_residual_scaled, gfde_residual_scaled,
                              pfde_residual_scaled, sweep)
-from oracles import case5_theta_reduction_check, fd_jet
+from oracles import case5_theta_reduction_check, fd_jet, sample_point
 
 
 def report(number: int, name: str, ok: bool, detail: str, elapsed: float) -> None:
@@ -254,7 +254,7 @@ def test_criterion_06_equivalence_group(entries):
         attempts = 0
         while n < 20 and attempts < 4000:
             attempts += 1
-            p = src.sample(rng)
+            p = sample_point(src, rng)
             if not sol.valid(p):
                 continue
             try:
@@ -281,7 +281,7 @@ def test_criterion_06_equivalence_group(entries):
         undrifted = ScalarField(lambda T, X, mu=mu, d=drifted: d.expr(T, X - mu * T))
         n = 0
         while n < 50:
-            p = e.sample_region.sample(rng)
+            p = sample_point(e.sample_region, rng)
             if not e.valid(p):
                 continue
             n += 1
@@ -328,7 +328,7 @@ def test_criterion_08_ad_correctness(entries):
         rng = np.random.default_rng(808 + e.id)
         n = 0
         while n < 20:
-            p = e.sample_region.sample(rng)
+            p = sample_point(e.sample_region, rng)
             if not e.valid(p):
                 continue
             n += 1

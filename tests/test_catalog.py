@@ -7,7 +7,7 @@ import pytest
 from gburgers.catalog import (CASE5_W0, CatalogEntry, catalog_json, eval_case, get_case,
                               iter_cases)
 from gburgers.jets import Point, SingularPointError
-from oracles import case5_theta_reduction_check
+from oracles import case5_theta_reduction_check, sample_point
 
 
 def valid_points(entry, n, seed=0, box=None):
@@ -17,7 +17,7 @@ def valid_points(entry, n, seed=0, box=None):
     while len(out) < n and tries < 200 * n:
         tries += 1
         if box is None:
-            p = entry.sample_region.sample(rng)
+            p = sample_point(entry.sample_region, rng)
         else:
             p = Point(rng.uniform(box[0], box[1]), rng.uniform(box[2], box[3]))
         if entry.valid(p):

@@ -329,6 +329,18 @@ class TestSolveAndConvergence:
         assert 1.7 <= rep["observed_order"] <= 2.3
         assert len(rep["max_errors"]) == 3
 
+    def test_degenerate_order_is_null(self, runner):
+        # u = 0 is marched exactly, so the errors sit at the roundoff floor
+        res = run(runner, "convergence", "--case", "2", "--nu", "0", "--c1", "1", "--c2", "0",
+                  "--region", "0,0.2,-1,1", "--resolutions", "16,32,64")
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rep = json.loads(res.output, parse_constant=refuse)
+        assert rep["degenerate"] is True
+        assert rep["observed_order"] is None
+
     def test_bad_resolutions_usage_error(self, runner):
         res = runner.invoke(cli, ["convergence", "--case", "2", "--region",
                                   "0,0.2,-1,1", "--resolutions", "16,20"])
@@ -361,6 +373,8 @@ class TestUsageErrors:
         ["verify", "--case", "7", "--which", "pfde", "--tol", "inf"],
         ["verify", "--case", "7", "--which", "pfde", "--tol=-1"],
         ["transform", "--element", IDENTITY, "--case", "2", *REGION, "--tol", "nan"],
+        ["solve", "--case", "2", "--region", "0,1,1,1"],
+        ["convergence", "--case", "2", "--region", "0,0.2,1,1"],
     ], ids=lambda args: " ".join(args))
     def test_bad_input_exits_2_without_a_traceback(self, args):
         res = CliRunner().invoke(cli, args)

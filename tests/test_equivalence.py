@@ -15,6 +15,7 @@ from gburgers.equivalence import (EquivalenceElement, apply_point, apply_u, comp
                                   identity, inverse, transform_f, transform_solution)
 from gburgers.jets import Point, ScalarField, SingularPointError
 from gburgers.verify import gbe_residual_scaled, reduced_system_residual_scaled
+from oracles import sample_point
 
 
 def random_element(rng) -> EquivalenceElement:
@@ -298,7 +299,7 @@ def test_action_consistency_on_catalog_solutions(case_id):
         attempts = 0
         while checked < 20 and attempts < 4000:
             attempts += 1
-            p = entry.sample_region.sample(rng)
+            p = sample_point(entry.sample_region, rng)
             if not sol.valid(p):
                 continue
             try:
@@ -338,7 +339,7 @@ def test_reduced_pair_covariance_time_affine_subgroup():
         attempts = 0
         while checked < 20 and attempts < 2000:
             attempts += 1
-            p = entry.sample_region.sample(rng)
+            p = sample_point(entry.sample_region, rng)
             try:
                 q = apply_point(g, p)
                 r = reduced_system_residual_scaled(ft, xit, q)
@@ -391,7 +392,7 @@ def test_full_group_operator_covariance():
         attempts = 0
         while checked < 20 and attempts < 2000:
             attempts += 1
-            p = entry.sample_region.sample(rng)
+            p = sample_point(entry.sample_region, rng)
             try:
                 q = apply_point(g, p)
                 r = determining_residuals(ft, coeffs, q).max_scaled

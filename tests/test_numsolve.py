@@ -47,6 +47,11 @@ class TestSpecValidation:
                 IbvpSpec(f=F_MINUS_ONE, region=Region(0, 1, 0, 1), n_x=16,
                          dt_safety=bad, exact=xi_solution(get_case(2)))
 
+    def test_zero_x_span_rejected(self):
+        with pytest.raises(ValueError, match="x span must be positive"):
+            IbvpSpec(f=F_MINUS_ONE, region=Region(0, 1, 1, 1), n_x=16,
+                     exact=xi_solution(get_case(2)))
+
     def test_exact_solution_required(self):
         with pytest.raises(TypeError):
             IbvpSpec(f=F_MINUS_ONE, region=Region(0, 1, 0, 1), n_x=16)
@@ -205,25 +210,41 @@ class TestProbeGrid:
     REGION = Region(0.0, 1.0, -1.0, 1.0)  # n_x = 16: dx = 1/8, probe times k/64
 
     def test_each_field_is_sampled_once_before_level_0(self):
-        shapes = {"f": [], "u": []}
+        calls = {"f": [], "u": []}
 
-        def counted(name, expr):
-            def recorded(T, X):
-                shapes[name].append(np.shape(X))
+        def recorded(name, expr):
+            def call(T, X):
+                calls[name].append((T, X))
                 return expr(T, X)
-            return ScalarField(recorded, name=name)
+            return ScalarField(call, name=name)
 
-        f = counted("f", lambda T, X: -1.0 + 0.0 * X)
-        exact = SolutionField(u=counted("u", lambda T, X: 0.5 + 0.0 * X), f=f,
-                              provenance="test data", valid=lambda p: True)
-        levels = march(IbvpSpec(f=f, region=self.REGION, n_x=16, exact=exact))
-        next(levels)
+        # polynomial data, whose bits are the same pointwise and on arrays
+        f = recorded("f", lambda T, X: -1.0 + 0.0 * X)
+        exact = SolutionField(u=recorded("u", lambda T, X: 0.5 + 0.25 * T + 0.125 * T * X),
+                              f=f, provenance="test data", valid=lambda p: True)
+        spec = IbvpSpec(f=f, region=Region(0.1, 1.0, -1.0, 1.0), n_x=16, exact=exact)
+        marching = march(spec)
+        level0 = next(marching)
         # one f.sample and one u sample on the probe grid, then the initial data;
         # no boundary value (a scalar u call) yet
-        assert shapes == {"f": [(65 * 17,)], "u": [(65 * 17,), (17,)]}
-        next(levels)
-        # level 1 reads the ends at its four stage and end times, pointwise
-        assert shapes["u"][2:] == [()] * 8
+        assert [np.shape(X) for _, X in calls["f"]] == [(65 * 17,)]
+        assert [np.shape(X) for _, X in calls["u"]] == [(65 * 17,), (17,)]
+
+        levels = [level0] + [next(marching) for _ in range(3)]
+        steps = int(level0.scheme_metadata.split("steps=")[1].split(",")[0])
+        dt = (1.0 - 0.1) / steps
+        # up to level 3, f on the interior and u at both ends are asked once at
+        # each time of the grid t_n = t0 + n*dt and t_n + dt/2, in order
+        grid = [t for n in range(3) for t in (0.1 + n * dt, 0.1 + n * dt + 0.5 * dt)]
+        grid = [float.hex(t) for t in grid + [0.1 + 3 * dt]]
+        assert [float.hex(T) for T, _ in calls["f"][1:]] == grid
+        assert all(np.shape(X) == (15,) for _, X in calls["f"][1:])
+        assert [(float.hex(T), X) for T, X in calls["u"][2:]] == [
+            (t, x) for t in grid for x in (-1.0, 1.0)]
+        # every level's ends are the Dirichlet data at its time
+        for level in levels:
+            assert [float.hex(v) for v in (level.u[0], level.u[-1])] == [
+                float.hex(v) for v in spec.boundary_values(level.t)]
 
     def test_step_bound_sees_a_peak_inside_a_probe_row(self):
         # u peaks at 1000 at (3/64, 0): an interior point of a probe row that is

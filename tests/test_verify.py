@@ -18,7 +18,7 @@ from gburgers.verify import (RELATIONS, DegenerateGradientError, EmptySweepError
                              potential_residual_scaled,
                              reduced_system_residual, reduced_system_residual_scaled,
                              sweep)
-from oracles import fd_jet
+from oracles import fd_jet, sample_point
 
 F_MINUS_ONE = ScalarField(lambda T, X: -1.0, name="-1")
 ZERO = ScalarField(lambda T, X: 0.0, name="0")
@@ -28,7 +28,7 @@ def valid_points(entry, n, seed=0):
     rng = np.random.default_rng(seed + entry.id)
     out = []
     while len(out) < n:
-        p = entry.sample_region.sample(rng)
+        p = sample_point(entry.sample_region, rng)
         if entry.valid(p):
             out.append(p)
     return out

@@ -4,9 +4,14 @@ Method of lines: second-order central differences in space, classic
 fourth-order Runge-Kutta in time with a parabolic step restriction, and
 Dirichlet boundary rows pinned to data at every stage time.  The stage
 times are t_n = t0 + n*dt and t_n + dt/2, and f and the Dirichlet data are
-sampled once at each.  With the sign convention u_t = -u*u_x - f*u_xx,
-forward integration is diffusive only for f < 0, so specs are rejected
-unless f stays strictly negative on the region.
+sampled once at each, in blocks of up to _BLOCK_STEPS steps: one
+``f.sample`` over the block's stage times by the interior points and one
+``boundary_values`` call per block.  numpy gives an element the same bits
+whatever the length of its array, so the block boundaries do not show in
+the levels.  The right-hand side is the paper's operator
+L[u] = u*u_x + f*u_xx, with u_t = -L[u]; forward integration is diffusive
+only for f < 0, so specs are rejected unless f stays strictly negative on
+the region.
 
 The oracle is manufactured-only: the initial and boundary data are
 sampled from the exact solution being checked, so the measured error is
@@ -28,6 +33,9 @@ from .jets import EvaluationError, Region, ScalarField, SingularPointError
 
 #: number of times at which f and the exact u are probed on the mesh before stepping
 _PROBE_NT = 65
+
+#: steps whose f and Dirichlet data are sampled in one call each
+_BLOCK_STEPS = 64
 
 #: refuse runs that would take more steps than this
 _MAX_STEPS = 20_000_000
@@ -61,6 +69,8 @@ class IbvpSpec:
     def __post_init__(self) -> None:
         if self.n_x < 8:
             raise ValueError("n_x must be at least 8")
+        if not self.region.t0 < self.region.t1:
+            raise ValueError(f"the region's t span must be positive: t0 = t1 = {self.region.t0}")
         if not self.region.x0 < self.region.x1:
             raise ValueError(f"the region's x span must be positive: x0 = x1 = {self.region.x0}")
         if not 0.0 < self.dt_safety <= 1.0:
@@ -69,8 +79,11 @@ class IbvpSpec:
     def initial_values(self, xs: np.ndarray) -> np.ndarray:
         return _sample(self.exact.u, self.region.t0, xs)
 
-    def boundary_values(self, t: float) -> tuple[float, float]:
-        return (self.exact.u.value(t, self.region.x0), self.exact.u.value(t, self.region.x1))
+    def boundary_values(self, ts: np.ndarray) -> np.ndarray:
+        """The Dirichlet data: row i is u at (ts[i], x0) and (ts[i], x1)."""
+        t, x = np.broadcast_arrays(np.asarray(ts, dtype=float)[:, None],
+                                   np.array([self.region.x0, self.region.x1], dtype=float))
+        return _sample(self.exact.u, t, x)
 
 
 def _sample(field: ScalarField, t, xs: np.ndarray, error=SingularPointError) -> np.ndarray:
@@ -82,7 +95,7 @@ def _sample(field: ScalarField, t, xs: np.ndarray, error=SingularPointError) -> 
     if bad.size:
         i = bad[0]
         raise error(f"non-finite value of field {field.name or '<anonymous>'} at (t, x) = "
-                    f"({np.broadcast_to(t, xs.shape)[i]:.6g}, {xs[i]:.6g})")
+                    f"({np.broadcast_to(t, xs.shape).flat[i]:.6g}, {xs.flat[i]:.6g})")
     return vals
 
 
@@ -103,9 +116,13 @@ def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
     the final step lands exactly on t1, with f and the exact u sampled once
     each on one probe grid, _PROBE_NT rows of the mesh.  Every check runs
     before level 0, the initial data; later levels carry the Dirichlet data
-    at their ends.  Step n samples f and those data at t_n + dt/2, for k2 and
+    at their ends.  Step n reads f and those data at t_n + dt/2, for k2 and
     k3, and at t_{n+1} = t0 + (n+1)*dt, for k4, level n+1's ends and the next
-    k1, so each time of the grid is sampled once.
+    k1, so each time of the grid is sampled once.  The data of a block of up
+    to _BLOCK_STEPS steps are sampled together before its first step, so a
+    non-finite Dirichlet value raises before any level of its block.  Each
+    k is L[u] = u*u_x + f*u_xx at a stage row, and level n+1 is
+    u - dt/6*(k1 + 2*k2 + 2*k3 + k4), a new array never written once yielded.
     Deterministic: identical specs produce bit-identical levels.
     """
     region = spec.region
@@ -138,41 +155,75 @@ def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
     inv_dx2 = 1.0 / (dx * dx)
     x_int = xs[1:-1]
 
-    def rhs(row: np.ndarray, fv: np.ndarray) -> np.ndarray:
-        """du/dt on the interior of a full row whose ends hold the Dirichlet data."""
-        ux = (row[2:] - row[:-2]) * inv_2dx
-        uxx = (row[2:] - 2.0 * row[1:-1] + row[:-2]) * inv_dx2
-        return -row[1:-1] * ux - fv * uxx
+    def data(ts: np.ndarray) -> tuple[np.ndarray, list]:
+        """f on the interior and the Dirichlet data, one row per time of ts."""
+        return (spec.f.sample(*np.broadcast_arrays(ts[:, None], x_int)),
+                spec.boundary_values(ts).tolist())
 
-    def stage(row: np.ndarray, h: float, k: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
-        """A new row: row + h*k inside, the Dirichlet data at the ends."""
-        out = row.copy()
-        out[1:-1] += h * k
-        out[0], out[-1] = bounds
-        return out
+    # the stage row, whose ends hold the Dirichlet data, and its three stencil views
+    row = np.empty_like(xs)
+    row_views = row[:-2], row[1:-1], row[2:]
+    ux_buf = np.empty_like(x_int)
+    k1, k2, k3, k4 = (np.empty_like(x_int) for _ in range(4))
+
+    def rhs(views: tuple[np.ndarray, ...], fv: np.ndarray, out: np.ndarray) -> None:
+        """L[u] = u*u_x + f*u_xx on the interior of a full row, given as its
+        (left, centre, right) views, into out."""
+        left, centre, right = views
+        u_x = np.subtract(right, left, out=ux_buf)
+        u_x *= inv_2dx
+        u_x *= centre
+        np.add(centre, centre, out=out)
+        np.subtract(right, out, out=out)
+        out += left
+        out *= inv_dx2
+        out *= fv
+        out += u_x
+
+    def stage(u_int: np.ndarray, h: float, k: np.ndarray, ends: list) -> tuple[np.ndarray, ...]:
+        """The stage row: u - h*k inside, the Dirichlet data at the ends."""
+        np.multiply(k, h, out=row_views[1])
+        np.subtract(u_int, row_views[1], out=row_views[1])
+        row[0], row[-1] = ends
+        return row_views
 
     t = float(region.t0)
     yield NumericSolution(t, xs, u0, meta)
-    u = u0.copy()
     # t_{n+1}'s data serve k4, level n+1's ends and the next k1; level 0's ends come from u0
-    ends, f_n = spec.boundary_values(t), spec.f.sample(t, x_int)
-    u[0], u[-1] = ends
-    for n in range(n_steps):
-        # blow-up is detected below; numpy's error state is never held across a yield
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rhs(u, f_n)
-            tm = t + 0.5 * dt
-            mid, fm = spec.boundary_values(tm), spec.f.sample(tm, x_int)
-            k2 = rhs(stage(u, 0.5 * dt, k1, mid), fm)
-            k3 = rhs(stage(u, 0.5 * dt, k2, mid), fm)
-            t = region.t0 + (n + 1) * dt
-            ends, f_n = spec.boundary_values(t), spec.f.sample(t, x_int)
-            k4 = rhs(stage(u, dt, k3, ends), f_n)
-            u = stage(u, dt / 6.0, k1 + 2.0 * k2 + 2.0 * k3 + k4, ends)
-        if not np.all(np.isfinite(u[1:-1])):
-            raise BlowUpError(f"solution blew up between t = {t - dt} and t = {t}",
-                              last_stable_time=t - dt)
-        yield NumericSolution(t, xs, u, meta)
+    f_t0, ends_t0 = data(np.array([t]))
+    f_n = f_t0[0]
+    u = u0.copy()
+    u[0], u[-1] = ends_t0[0]
+    for n0 in range(0, n_steps, _BLOCK_STEPS):
+        ns = np.arange(n0, min(n0 + _BLOCK_STEPS, n_steps))
+        t_next = region.t0 + (ns + 1) * dt
+        ts = np.column_stack((region.t0 + ns * dt + 0.5 * dt, t_next)).ravel()
+        f_block, ends_block = data(ts)
+        for i, t in enumerate(t_next.tolist()):
+            fm, f_next = f_block[2 * i], f_block[2 * i + 1]
+            mid, ends = ends_block[2 * i], ends_block[2 * i + 1]
+            # blow-up is detected below; numpy's error state is never held across a yield
+            with np.errstate(over="ignore", invalid="ignore"):
+                views = u[:-2], u[1:-1], u[2:]
+                rhs(views, f_n, k1)
+                rhs(stage(views[1], 0.5 * dt, k1, mid), fm, k2)
+                rhs(stage(views[1], 0.5 * dt, k2, mid), fm, k3)
+                rhs(stage(views[1], dt, k3, ends), f_next, k4)
+                # k2 becomes dt/6*(k1 + 2*k2 + 2*k3 + k4), summed left to right
+                k2 += k2
+                k2 += k1
+                k3 += k3
+                k2 += k3
+                k2 += k4
+                k2 *= dt / 6.0
+                u_next = np.empty_like(u)
+                np.subtract(views[1], k2, out=u_next[1:-1])
+            u_next[0], u_next[-1] = ends
+            u, f_n = u_next, f_next
+            if not np.isfinite(u[1:-1]).all():
+                raise BlowUpError(f"solution blew up between t = {t - dt} and t = {t}",
+                                  last_stable_time=t - dt)
+            yield NumericSolution(t, xs, u, meta)
 
 
 def solve_ibvp(spec: IbvpSpec) -> NumericSolution:

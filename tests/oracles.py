@@ -6,9 +6,13 @@ values, so it shares nothing with the forward propagation of
 ``case5_theta_reduction_check`` compares case 5's quadrature with the closed
 form it reduces to at lambda = 0 (criterion 10).
 ``sample_point`` draws the random points at which tests make such comparisons.
+``reference_march`` is the RK4 march written one step and one stage time at a
+time, against which :func:`gburgers.numsolve.march` is compared.
 """
 
 import math
+
+import numpy as np
 
 from gburgers.catalog import EPS_DEN, get_case
 from gburgers.jets import Jet3, Point, Region, ScalarField, SingularPointError
@@ -71,3 +75,46 @@ def case5_theta_reduction_check(p: Point) -> float:
     if abs(x - t) <= EPS_DEN:
         raise SingularPointError(f"x = t is a logarithmic singularity at lam = 0, got {tuple(p)}")
     return abs(entry.theta.value(t, x) - math.log(abs(x - t)))
+
+
+def reference_march(spec, steps: int) -> list[tuple[float, np.ndarray]]:
+    """Every (t, u) level of ``steps`` RK4 steps of u_t = -u*u_x - f*u_xx
+    with central differences on ``spec``'s mesh, where f and the Dirichlet
+    data are sampled at each stage time t_n + dt/2 and t_{n+1} = t0 + (n+1)*dt
+    on its own and every intermediate result is a new array."""
+    region = spec.region
+    xs = np.linspace(region.x0, region.x1, spec.n_x + 1)
+    dx = (region.x1 - region.x0) / spec.n_x
+    dt = (region.t1 - region.t0) / steps
+    x_int = xs[1:-1]
+
+    def data(t):
+        return spec.boundary_values([t])[0], spec.f.sample(np.full(x_int.shape, t), x_int)
+
+    def rhs(row, fv):
+        ux = (row[2:] - row[:-2]) * (1.0 / (2.0 * dx))
+        uxx = (row[2:] - 2.0 * row[1:-1] + row[:-2]) * (1.0 / (dx * dx))
+        return -row[1:-1] * ux - fv * uxx
+
+    def stage(row, h, k, ends):
+        out = row.copy()
+        out[1:-1] += h * k
+        out[0], out[-1] = ends
+        return out
+
+    t = float(region.t0)
+    levels = [(t, spec.initial_values(xs))]
+    ends, f_n = data(t)
+    u = levels[0][1].copy()
+    u[0], u[-1] = ends
+    for n in range(steps):
+        k1 = rhs(u, f_n)
+        mid, fm = data(t + 0.5 * dt)
+        k2 = rhs(stage(u, 0.5 * dt, k1, mid), fm)
+        k3 = rhs(stage(u, 0.5 * dt, k2, mid), fm)
+        t = region.t0 + (n + 1) * dt
+        ends, f_n = data(t)
+        k4 = rhs(stage(u, dt, k3, ends), f_n)
+        u = stage(u, dt / 6.0, k1 + 2.0 * k2 + 2.0 * k3 + k4, ends)
+        levels.append((t, u))
+    return levels

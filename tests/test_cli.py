@@ -375,6 +375,8 @@ class TestUsageErrors:
         ["transform", "--element", IDENTITY, "--case", "2", *REGION, "--tol", "nan"],
         ["solve", "--case", "2", "--region", "0,1,1,1"],
         ["convergence", "--case", "2", "--region", "0,0.2,1,1"],
+        ["solve", "--case", "2", "--nu=-1", "--region", "0,0,-1,1", "--nx", "8"],
+        ["convergence", "--case", "2", "--nu=-1", "--region", "0,0,-1,1"],
     ], ids=lambda args: " ".join(args))
     def test_bad_input_exits_2_without_a_traceback(self, args):
         res = CliRunner().invoke(cli, args)

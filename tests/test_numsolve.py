@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gburgers import numsolve
 from gburgers.ansatz import (RiccatiBranch, SolutionField, build_solution, rational_solution,
                              xi_solution)
 from gburgers.catalog import get_case
@@ -12,6 +13,7 @@ from gburgers.cli import cli
 from gburgers.jets import EvaluationError, Region, ScalarField, SingularPointError
 from gburgers.numsolve import (BlowUpError, IbvpSpec, WellPosednessError, compare,
                                convergence_study, march, solve_ibvp)
+from oracles import reference_march
 
 F_MINUS_ONE = ScalarField(lambda T, X: -1.0, name="-1")
 
@@ -52,6 +54,11 @@ class TestSpecValidation:
             IbvpSpec(f=F_MINUS_ONE, region=Region(0, 1, 1, 1), n_x=16,
                      exact=xi_solution(get_case(2)))
 
+    def test_zero_t_span_rejected(self):
+        with pytest.raises(ValueError, match="t span must be positive: t0 = t1 = 0.5"):
+            IbvpSpec(f=F_MINUS_ONE, region=Region(0.5, 0.5, 0, 1), n_x=16,
+                     exact=xi_solution(get_case(2)))
+
     def test_exact_solution_required(self):
         with pytest.raises(TypeError):
             IbvpSpec(f=F_MINUS_ONE, region=Region(0, 1, 0, 1), n_x=16)
@@ -68,13 +75,14 @@ class TestSolve:
         assert next(march(spec)).t == 0.0 and num.t == pytest.approx(1.0)
 
     def test_level_0_is_the_initial_data(self):
-        # a u whose array samples (the initial data) are 1 and whose point
-        # values (the boundary data) are 2 and 3 at the ends: level 0 keeps the
-        # initial values, every later level takes its ends from the boundary
+        # a u whose samples at the float t0 (the initial data) are 1 and whose
+        # samples at arrays of t (the probe grid and the Dirichlet data) are 2
+        # and 3 at the ends: level 0 keeps the initial values, every later level
+        # takes its ends from the Dirichlet data at its time
         def u(T, X):
-            if isinstance(X, np.ndarray):
+            if np.ndim(T) == 0:
                 return 0.0 * X + 1.0
-            return 2.0 if X < 0.0 else 3.0
+            return np.where(X < 0.0, 2.0, 3.0)
 
         spec = IbvpSpec(f=F_MINUS_ONE, region=Region(0.0, 0.01, -1.0, 1.0), n_x=16,
                         exact=solution(u))
@@ -82,8 +90,11 @@ class TestSolve:
         first = next(levels)
         assert first.t == 0.0
         assert np.array_equal(first.u, np.ones(17))
-        for num in levels:
+        later = list(levels)
+        assert later
+        for num in later:
             assert (num.u[0], num.u[-1]) == (2.0, 3.0)
+            assert (num.u[0], num.u[-1]) == tuple(spec.boundary_values([num.t])[0])
 
     def test_positive_f_rejected(self):
         f_plus = ScalarField(lambda T, X: 1.0)
@@ -174,6 +185,55 @@ class TestSolve:
         assert peak < 2**20
 
 
+class TestBlocks:
+    """f and the Dirichlet data are sampled once per block of steps; where
+    the blocks end does not show in the levels."""
+
+    @staticmethod
+    def case9_spec():
+        # f = -cos(x)^2/(2t) and Dirichlet data that change with t, over 172
+        # steps, a multiple of neither 3 nor 64
+        entry = get_case(9)
+        return IbvpSpec(f=entry.f, region=Region(0.5, 0.885, -0.6, 0.6), n_x=16,
+                        exact=build_solution(entry, RiccatiBranch(-1.0, 1.0, 1.0)))
+
+    def test_block_boundaries_are_invisible(self, monkeypatch):
+        spec = self.case9_spec()
+        runs = []
+        for block in (1, 3, 64):
+            monkeypatch.setattr(numsolve, "_BLOCK_STEPS", block)
+            runs.append([(float.hex(num.t), num.u.tobytes()) for num in march(spec)])
+        assert len(runs[0]) == 173
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_levels_match_a_step_by_step_reference(self):
+        # the same values at every level; only the sign of an exact zero may
+        # differ, because the march subtracts h*L[u] = h*(u*u_x + f*u_xx) where
+        # the reference adds h*(-u*u_x - f*u_xx), and (-a) - b = -(a + b)
+        # holds in floating point except for the sign of a zero sum
+        spec = self.case9_spec()
+        want = reference_march(spec, 172)
+        got = list(march(spec))
+        assert [float.hex(num.t) for num in got] == [float.hex(t) for t, _ in want]
+        for num, (_, u) in zip(got, want):
+            assert np.array_equal(num.u, u)
+
+    def test_a_non_finite_end_in_a_later_block_raises_before_its_block(self):
+        # f = -1 and u = 0 on [0, 1] x [-1, 1] at n_x = 16 take 160 steps of
+        # 1/160; u is NaN at x = 1 for 0.626 < t < 0.639, between the probe rows
+        # 40/64 and 41/64, whose first grid time is t_100 + dt/2 = 0.628125, in
+        # the second block of 64 steps
+        u = solution(lambda T, X: np.where((0.626 < T) & (T < 0.639) & (X == 1.0),
+                                           math.nan, 0.0 * X))
+        spec = IbvpSpec(f=F_MINUS_ONE, region=Region(0.0, 1.0, -1.0, 1.0), n_x=16, exact=u)
+        seen = []
+        with pytest.raises(SingularPointError, match=r"at \(t, x\) = \(0\.628125, 1\)"):
+            for num in march(spec):
+                seen.append(num.t)
+        assert "steps=160," in next(march(spec)).scheme_metadata
+        assert seen and max(seen) < 0.628125
+
+
 class TestManufacturedDataOnAPole:
     """A pole of the exact solution on the mesh raises before any step, so
     that a NaN of the data cannot drop out of max(umax, .) or the step bound."""
@@ -226,25 +286,33 @@ class TestProbeGrid:
         marching = march(spec)
         level0 = next(marching)
         # one f.sample and one u sample on the probe grid, then the initial data;
-        # no boundary value (a scalar u call) yet
+        # no Dirichlet data yet
         assert [np.shape(X) for _, X in calls["f"]] == [(65 * 17,)]
         assert [np.shape(X) for _, X in calls["u"]] == [(65 * 17,), (17,)]
 
-        levels = [level0] + [next(marching) for _ in range(3)]
+        levels = [level0, *marching]
         steps = int(level0.scheme_metadata.split("steps=")[1].split(",")[0])
+        assert steps % numsolve._BLOCK_STEPS != 0 and len(levels) == steps + 1
         dt = (1.0 - 0.1) / steps
-        # up to level 3, f on the interior and u at both ends are asked once at
-        # each time of the grid t_n = t0 + n*dt and t_n + dt/2, in order
-        grid = [t for n in range(3) for t in (0.1 + n * dt, 0.1 + n * dt + 0.5 * dt)]
-        grid = [float.hex(t) for t in grid + [0.1 + 3 * dt]]
-        assert [float.hex(T) for T, _ in calls["f"][1:]] == grid
-        assert all(np.shape(X) == (15,) for _, X in calls["f"][1:])
-        assert [(float.hex(T), X) for T, X in calls["u"][2:]] == [
-            (t, x) for t in grid for x in (-1.0, 1.0)]
+        # f on the interior and u at both ends are asked once at each time of
+        # the grid t_n = t0 + n*dt and t_n + dt/2, in order: at t0, then once
+        # per block of steps
+        grid = [t for n in range(steps) for t in (0.1 + n * dt, 0.1 + n * dt + 0.5 * dt)]
+        grid = [float.hex(t) for t in grid + [0.1 + steps * dt]]
+        blocks = 1 + math.ceil(steps / numsolve._BLOCK_STEPS)
+        assert len(calls["f"]) == 1 + blocks and len(calls["u"]) == 2 + blocks
+        for T, X in calls["f"][1:]:
+            assert np.array_equal(X, np.broadcast_to(level0.xs[1:-1], X.shape))
+            assert np.array_equal(T, np.broadcast_to(T[:, :1], T.shape))
+        for T, X in calls["u"][2:]:
+            assert np.array_equal(X, np.broadcast_to([-1.0, 1.0], X.shape))
+            assert np.array_equal(T, np.broadcast_to(T[:, :1], T.shape))
+        for name, first in (("f", 1), ("u", 2)):
+            assert [float.hex(t) for T, _ in calls[name][first:] for t in T[:, 0].tolist()] == grid
         # every level's ends are the Dirichlet data at its time
         for level in levels:
             assert [float.hex(v) for v in (level.u[0], level.u[-1])] == [
-                float.hex(v) for v in spec.boundary_values(level.t)]
+                float.hex(v) for v in spec.boundary_values([level.t])[0]]
 
     def test_step_bound_sees_a_peak_inside_a_probe_row(self):
         # u peaks at 1000 at (3/64, 0): an interior point of a probe row that is

@@ -3,7 +3,8 @@
 Random Riccati branches are evaluated at random abscissae together with
 the exact poles of each branch, and random group elements at random times
 together with their projective singularity.  Random sweeps of the catalog's
-relations are compared with the per-point reference sweep.
+relations are compared with the per-point reference sweep, and each case's
+f on a random block of times with the same times one row at a time.
 """
 
 import math
@@ -148,3 +149,25 @@ def test_sweep_is_deterministic_and_matches_the_reference(case):
     got = bits_or_empty(sweep, fn, region, n_t, n_x, valid=e.valid)
     assert got == bits_or_empty(sweep, fn, region, n_t, n_x, valid=e.valid)
     assert got == bits_or_empty(reference_sweep, fn, region, n_t, n_x, e.valid)
+
+
+@st.composite
+def time_blocks(draw, region: Region):
+    """Up to 128 times in a region's t span and 2 to 40 abscissae across it."""
+    ts = draw(st.lists(fraction, min_size=1, max_size=128))
+    n_x = draw(st.integers(2, 40))
+    return (np.array([region.t0 + a * (region.t1 - region.t0) for a in ts]),
+            np.linspace(region.x0, region.x1, n_x))
+
+
+@pytest.mark.parametrize("e", CASES, ids=lambda e: f"case{e.id}")
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_f_on_a_block_of_times_matches_each_row(e, data):
+    # the march samples f for a block of steps in one call; its data stay
+    # those of one call per time only if every row keeps its bits
+    ts, xs = data.draw(time_blocks(e.sample_region))
+    block = e.f.sample(*np.broadcast_arrays(ts[:, None], xs))
+    for i, t in enumerate(ts.tolist()):
+        row = e.f.sample(*np.broadcast_arrays(np.array([t])[:, None], xs))
+        assert block[i].tobytes() == row[0].tobytes(), t

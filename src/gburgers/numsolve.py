@@ -8,10 +8,11 @@ sampled once at each, in blocks of up to _BLOCK_STEPS steps: one
 ``f.sample`` over the block's stage times by the interior points and one
 ``boundary_values`` call per block.  numpy gives an element the same bits
 whatever the length of its array, so the block boundaries do not show in
-the levels.  The right-hand side is the paper's operator
-L[u] = u*u_x + f*u_xx, with u_t = -L[u]; forward integration is diffusive
-only for f < 0, so specs are rejected unless f stays strictly negative on
-the region.
+the levels.  A block's levels are the rows of one array, checked for
+blow-up once the block's steps are done.  The right-hand side is the
+paper's operator L[u] = u*u_x + f*u_xx, with u_t = -L[u]; forward
+integration is diffusive only for f < 0, so specs are rejected unless f
+stays strictly negative on the region.
 
 The oracle is manufactured-only: the initial and boundary data are
 sampled from the exact solution being checked, so the measured error is
@@ -110,7 +111,8 @@ class NumericSolution(NamedTuple):
 
 def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
     """March the IBVP on a uniform grid, yielding each time level in order
-    and holding only the one being advanced.
+    and holding the levels of one block of up to _BLOCK_STEPS steps, not the
+    history.
 
     dt = dt_safety * min(dx^2/(2*max|f|), dx/(1 + max|u|)), rounded down so
     the final step lands exactly on t1, with f and the exact u sampled once
@@ -122,7 +124,10 @@ def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
     to _BLOCK_STEPS steps are sampled together before its first step, so a
     non-finite Dirichlet value raises before any level of its block.  Each
     k is L[u] = u*u_x + f*u_xx at a stage row, and level n+1 is
-    u - dt/6*(k1 + 2*k2 + 2*k3 + k4), a new array never written once yielded.
+    u - dt/6*(k1 + 2*k2 + 2*k3 + k4), a row of a new array per block, never
+    written once yielded.  A block's levels are checked for finiteness after
+    its last step: those before the first non-finite one are yielded, and
+    BlowUpError then gives the time of the last of them.
     Deterministic: identical specs produce bit-identical levels.
     """
     region = spec.region
@@ -151,41 +156,40 @@ def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
     meta = (f"method-of-lines central2 + RK4, n_x={spec.n_x}, dx={dx:.6g}, "
             f"dt={dt:.6g}, steps={n_steps}, dt_safety={spec.dt_safety}")
 
-    inv_2dx = 1.0 / (2.0 * dx)
-    inv_dx2 = 1.0 / (dx * dx)
+    # numpy's cost per call, not arithmetic, sets the step's time on meshes of
+    # this size: the ufuncs are bound to locals, out is passed positionally and
+    # the step's constants are 0-d float64 arrays
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    c_2dx, c_dx2 = np.array(1.0 / (2.0 * dx)), np.array(1.0 / (dx * dx))
+    c_half, c_dt, c_sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
     x_int = xs[1:-1]
 
-    def data(ts: np.ndarray) -> tuple[np.ndarray, list]:
+    def data(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f on the interior and the Dirichlet data, one row per time of ts."""
         return (spec.f.sample(*np.broadcast_arrays(ts[:, None], x_int)),
-                spec.boundary_values(ts).tolist())
+                spec.boundary_values(ts))
 
-    # the stage row, whose ends hold the Dirichlet data, and its three stencil views
-    row = np.empty_like(xs)
-    row_views = row[:-2], row[1:-1], row[2:]
+    # the stage rows at t_n + dt/2 and at t_{n+1}, whose ends hold the
+    # Dirichlet data, and their (left, centre, right) stencil views
+    mid_row, end_row = np.empty_like(xs), np.empty_like(xs)
+    mid_l, mid_c, mid_r = mid_row[:-2], mid_row[1:-1], mid_row[2:]
+    end_l, end_c, end_r = end_row[:-2], end_row[1:-1], end_row[2:]
     ux_buf = np.empty_like(x_int)
     k1, k2, k3, k4 = (np.empty_like(x_int) for _ in range(4))
 
-    def rhs(views: tuple[np.ndarray, ...], fv: np.ndarray, out: np.ndarray) -> None:
-        """L[u] = u*u_x + f*u_xx on the interior of a full row, given as its
+    def rhs(left: np.ndarray, centre: np.ndarray, right: np.ndarray, fv: np.ndarray,
+            out: np.ndarray) -> None:
+        """L[u] = u*u_x + f*u_xx on the interior of a row, given as its
         (left, centre, right) views, into out."""
-        left, centre, right = views
-        u_x = np.subtract(right, left, out=ux_buf)
-        u_x *= inv_2dx
-        u_x *= centre
-        np.add(centre, centre, out=out)
-        np.subtract(right, out, out=out)
-        out += left
-        out *= inv_dx2
-        out *= fv
-        out += u_x
-
-    def stage(u_int: np.ndarray, h: float, k: np.ndarray, ends: list) -> tuple[np.ndarray, ...]:
-        """The stage row: u - h*k inside, the Dirichlet data at the ends."""
-        np.multiply(k, h, out=row_views[1])
-        np.subtract(u_int, row_views[1], out=row_views[1])
-        row[0], row[-1] = ends
-        return row_views
+        subtract(right, left, ux_buf)
+        multiply(ux_buf, c_2dx, ux_buf)
+        multiply(ux_buf, centre, ux_buf)
+        add(centre, centre, out)
+        subtract(right, out, out)
+        add(out, left, out)
+        multiply(out, c_dx2, out)
+        multiply(out, fv, out)
+        add(out, ux_buf, out)
 
     t = float(region.t0)
     yield NumericSolution(t, xs, u0, meta)
@@ -193,37 +197,56 @@ def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
     f_t0, ends_t0 = data(np.array([t]))
     f_n = f_t0[0]
     u = u0.copy()
-    u[0], u[-1] = ends_t0[0]
+    u[0], u[-1] = ends_t0[0].tolist()
+    u_l, u_c, u_r = u[:-2], u[1:-1], u[2:]
     for n0 in range(0, n_steps, _BLOCK_STEPS):
         ns = np.arange(n0, min(n0 + _BLOCK_STEPS, n_steps))
         t_next = region.t0 + (ns + 1) * dt
         ts = np.column_stack((region.t0 + ns * dt + 0.5 * dt, t_next)).ravel()
         f_block, ends_block = data(ts)
-        for i, t in enumerate(t_next.tolist()):
-            fm, f_next = f_block[2 * i], f_block[2 * i + 1]
-            mid, ends = ends_block[2 * i], ends_block[2 * i + 1]
-            # blow-up is detected below; numpy's error state is never held across a yield
-            with np.errstate(over="ignore", invalid="ignore"):
-                views = u[:-2], u[1:-1], u[2:]
-                rhs(views, f_n, k1)
-                rhs(stage(views[1], 0.5 * dt, k1, mid), fm, k2)
-                rhs(stage(views[1], 0.5 * dt, k2, mid), fm, k3)
-                rhs(stage(views[1], dt, k3, ends), f_next, k4)
+        mids, ends = ends_block[0::2].tolist(), ends_block[1::2].tolist()
+        # row i is level n0+i+1: a new array per block, whose rows are never
+        # written once yielded
+        levels = np.empty((len(ns), xs.size))
+        levels[:, [0, -1]] = ends_block[1::2]
+        lev_l, lev_c, lev_r = levels[:, :-2], levels[:, 1:-1], levels[:, 2:]
+        # blow-up is found after the block's steps; numpy's error state is never
+        # held across a yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(len(ns)):
+                fm, f_next = f_block[2 * i], f_block[2 * i + 1]
+                rhs(u_l, u_c, u_r, f_n, k1)
+                mid_row[0], mid_row[-1] = mids[i]
+                multiply(k1, c_half, mid_c)
+                subtract(u_c, mid_c, mid_c)
+                rhs(mid_l, mid_c, mid_r, fm, k2)
+                multiply(k2, c_half, mid_c)
+                subtract(u_c, mid_c, mid_c)
+                rhs(mid_l, mid_c, mid_r, fm, k3)
+                end_row[0], end_row[-1] = ends[i]
+                multiply(k3, c_dt, end_c)
+                subtract(u_c, end_c, end_c)
+                rhs(end_l, end_c, end_r, f_next, k4)
                 # k2 becomes dt/6*(k1 + 2*k2 + 2*k3 + k4), summed left to right
-                k2 += k2
-                k2 += k1
-                k3 += k3
-                k2 += k3
-                k2 += k4
-                k2 *= dt / 6.0
-                u_next = np.empty_like(u)
-                np.subtract(views[1], k2, out=u_next[1:-1])
-            u_next[0], u_next[-1] = ends
-            u, f_n = u_next, f_next
-            if not np.isfinite(u[1:-1]).all():
-                raise BlowUpError(f"solution blew up between t = {t - dt} and t = {t}",
-                                  last_stable_time=t - dt)
-            yield NumericSolution(t, xs, u, meta)
+                add(k2, k2, k2)
+                add(k2, k1, k2)
+                add(k3, k3, k3)
+                add(k2, k3, k2)
+                add(k2, k4, k2)
+                multiply(k2, c_sixth, k2)
+                u_next = lev_c[i]
+                subtract(u_c, k2, u_next)
+                u_l, u_c, u_r, f_n = lev_l[i], u_next, lev_r[i], f_next
+        finite = np.isfinite(lev_c).all(axis=1)
+        stable = len(ns) if finite.all() else int(finite.argmin())
+        times = t_next.tolist()
+        for i in range(stable):
+            t = times[i]
+            yield NumericSolution(t, xs, levels[i], meta)
+        if stable < len(ns):
+            # t is the last level yielded, which t_{n+1} - dt can miss by an ulp
+            raise BlowUpError(f"solution blew up between t = {t} and t = {times[stable]}",
+                              last_stable_time=t)
 
 
 def solve_ibvp(spec: IbvpSpec) -> NumericSolution:

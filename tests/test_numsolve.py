@@ -169,9 +169,9 @@ class TestSolve:
 
     def test_one_level_in_memory(self):
         # criterion 9's case-7 solve at n_x = 128 over a tenth of its time
-        # window (the property holds per level, and the tracer's cost is per
-        # allocation): 2,305 steps, whose history of every level would take
-        # 2.3 MiB
+        # window (the property holds per block of levels, and the tracer's
+        # cost is per allocation): 2,305 steps, whose history of every level
+        # would take 2.3 MiB, where a block of 64 levels takes 64.5 KiB
         entry = get_case(7)
         spec = IbvpSpec(f=entry.f, region=Region(1.0, 1.05, 1.0, 3.0), n_x=128,
                         exact=build_solution(entry, RiccatiBranch(0.0, 4.0, 1.0)))
@@ -197,6 +197,14 @@ class TestBlocks:
         return IbvpSpec(f=entry.f, region=Region(0.5, 0.885, -0.6, 0.6), n_x=16,
                         exact=build_solution(entry, RiccatiBranch(-1.0, 1.0, 1.0)))
 
+    @staticmethod
+    def case8_spec():
+        # a study of the benchmark's cross_validate workload: f(t, x) of case 8
+        # over 225 steps, three blocks of 64 and one of 33
+        entry = get_case(8)
+        return IbvpSpec(f=entry.f, region=Region(0.5, 1.0, -1.0, 1.0), n_x=24,
+                        exact=build_solution(entry, RiccatiBranch(0.0, -3.0, 1.0)))
+
     def test_block_boundaries_are_invisible(self, monkeypatch):
         spec = self.case9_spec()
         runs = []
@@ -206,17 +214,50 @@ class TestBlocks:
         assert len(runs[0]) == 173
         assert runs[0] == runs[1] == runs[2]
 
-    def test_levels_match_a_step_by_step_reference(self):
+    @pytest.mark.parametrize("make_spec, steps", [(case9_spec, 172), (case8_spec, 225)],
+                             ids=["case9", "case8"])
+    def test_levels_match_a_step_by_step_reference(self, make_spec, steps):
         # the same values at every level; only the sign of an exact zero may
         # differ, because the march subtracts h*L[u] = h*(u*u_x + f*u_xx) where
         # the reference adds h*(-u*u_x - f*u_xx), and (-a) - b = -(a + b)
         # holds in floating point except for the sign of a zero sum
-        spec = self.case9_spec()
-        want = reference_march(spec, 172)
+        spec = make_spec()
+        want = reference_march(spec, steps)
         got = list(march(spec))
         assert [float.hex(num.t) for num in got] == [float.hex(t) for t, _ in want]
         for num, (_, u) in zip(got, want):
             assert np.array_equal(num.u, u)
+
+    def test_blow_up_inside_a_block_stops_at_the_same_level(self, monkeypatch):
+        # SPIKE blows up in the second block of 64 steps, so the block that
+        # holds the first non-finite level has already been stepped to its end
+        spec = IbvpSpec(f=F_MINUS_ONE, region=Region(0.0, 1.0, -1.0, 1.0), n_x=16,
+                        exact=SPIKE)
+        runs = []
+        for block in (1, 3, 64):
+            monkeypatch.setattr(numsolve, "_BLOCK_STEPS", block)
+            seen = []
+            with pytest.raises(BlowUpError) as err:
+                for num in march(spec):
+                    assert np.isfinite(num.u).all()
+                    seen.append((num.t, num.u.tobytes()))
+            assert err.value.last_stable_time == seen[-1][0]
+            assert str(err.value).startswith(f"solution blew up between t = {seen[-1][0]} and")
+            runs.append(seen)
+        assert 64 < len(runs[0]) < 128
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_the_callers_error_state_holds_at_every_level(self):
+        # the march ignores overflow and invalid results while it steps a block,
+        # and the caller's state is back in force whenever a level is yielded
+        spec = self.case9_spec()
+        with np.errstate(all="raise"):
+            caller = np.geterr()
+            levels = 0
+            for _ in march(spec):
+                assert np.geterr() == caller
+                levels += 1
+        assert levels == 173
 
     def test_a_non_finite_end_in_a_later_block_raises_before_its_block(self):
         # f = -1 and u = 0 on [0, 1] x [-1, 1] at n_x = 16 take 160 steps of

@@ -85,11 +85,12 @@ def _negative_nu(nu: float, c1: float, c2: float, omega, derivative: bool):
     s = where(nonneg, 1.0, -1.0)
     a, c = where(nonneg, c1, c2), where(nonneg, c2, c1)
     r = exp(-2.0 * k * s * omega)
-    den = _check_pole(a + c * r, c1, c2)
+    cr = c * r
+    den = _check_pole(a + cr, c1, c2)
     if derivative:
         # -8 k^2 c1 c2 / (c1 e^{kw} + c2 e^{-kw})^2 in the rescaled variables
         return 8.0 * nu * c1 * c2 * r / (den * den)
-    return -2.0 * k * s * (a - c * r) / den
+    return -2.0 * k * s * (a - cr) / den
 
 
 def phi(b: RiccatiBranch, omega) -> float:
@@ -108,8 +109,10 @@ def phi(b: RiccatiBranch, omega) -> float:
         den = _check_pole(c1 + c2 * omega, c1, c2)
         return -2.0 * c2 / den
     k = math.sqrt(nu)
-    den = _check_pole(c1 * cos(k * omega) + c2 * sin(k * omega), c1, c2)
-    return 2.0 * k * (c1 * sin(k * omega) - c2 * cos(k * omega)) / den
+    kw = k * omega
+    cw, sw = cos(kw), sin(kw)
+    den = _check_pole(c1 * cw + c2 * sw, c1, c2)
+    return 2.0 * k * (c1 * sw - c2 * cw) / den
 
 
 def phi_prime(b: RiccatiBranch, omega) -> float:

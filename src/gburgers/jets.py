@@ -29,6 +29,17 @@ every element whose jet is not finite.  Plain arrays
 place that knows this policy: every deliberate exclusion of the package (a
 zero divisor, a pole of a Riccati branch, a vanishing f or theta_x, a
 projective singularity, a failed quadrature) goes through it.
+
+The jet memo.  The relations of a catalog case read the same fields on the
+same grid, so ``ScalarField.jet`` at a point of arrays keeps the jet of
+each field on the last grid it saw and computes it once there.  The grid
+is keyed by the shapes and bytes of t and x, and a new grid empties the
+memo, so it never holds more than one grid's jets.  A field is keyed by
+identity, which is sound because evaluation is pure.  The memo computes a
+jet from its own copies of the array coordinates (a float coordinate stays
+a float), so no entry aliases a caller's array, and every coefficient array
+it keeps is read-only; each call gets a Jet3 of its own.  Single points
+bypass the memo, and a batch that raises leaves nothing in it.
 """
 
 from __future__ import annotations
@@ -557,7 +568,8 @@ class ScalarField:
 
     ``expr(t, x)`` must be written against the elementary functions of this
     module so that it evaluates on floats, numpy arrays, and jets alike.
-    Evaluation is pure: no state, no side effects.
+    Evaluation is pure: no state, no side effects.  The jet memo relies on
+    that (see the module docstring).
     """
 
     __slots__ = ("expr", "name")
@@ -578,8 +590,29 @@ class ScalarField:
         """Exact jet at ``p`` by forward Taylor propagation.
 
         A point of arrays gives an array jet, NaN at every element whose
-        point or jet is not finite; a single point raises instead.
+        point or jet is not finite, through the jet memo of the last grid
+        (see the module docstring); a single point raises instead.
         """
+        global _memo_grid
+        t, x = p
+        if not (isinstance(t, np.ndarray) or isinstance(x, np.ndarray)):
+            return self._jet(p)
+        grid = tuple((isinstance(c, np.ndarray), np.shape(c), np.asarray(c, dtype=float).tobytes())
+                     for c in p)
+        if grid != _memo_grid:
+            _memo.clear()
+            _memo_grid = grid
+        j = _memo.get(self)
+        if j is None:
+            own = [np.array(c, dtype=float) if isinstance(c, np.ndarray) else c for c in p]
+            j = self._jet(Point(*own))
+            for ci in j.c:
+                if isinstance(ci, np.ndarray):
+                    ci.flags.writeable = False
+            _memo[self] = j
+        return Jet3(list(j.c))
+
+    def _jet(self, p: Point) -> Jet3:
         t, x = p
         array = isinstance(t, np.ndarray) or isinstance(x, np.ndarray)
         if not (array or math.isfinite(t) and math.isfinite(x)):
@@ -645,6 +678,11 @@ class ScalarField:
         return ScalarField(lambda t, x: -self.expr(t, x), name=f"(-{self.name})")
 
 
+# the jet memo (module docstring): field -> its jet on the grid keyed by _memo_grid
+_memo: dict[ScalarField, Jet3] = {}
+_memo_grid = None
+
+
 def constant_field(v: float) -> ScalarField:
     v = float(v)
     return ScalarField(lambda t, x: v, name=f"{v:g}")
@@ -669,6 +707,7 @@ _WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
 _NODES = np.array((0.0, *(-x for x in _XGK), *_XGK))[:, None]  # of K15, per unit half-width
 _QUAD_TOL = 1e-12  # absolute and relative tolerance of each subinterval
 _QUAD_LIMIT = 200  # subintervals of one interval, as quad's limit
+_QUAD_CHUNK = 1024  # intervals of one adaptive pass, which bounds its working set
 # Antiderivative's breakpoints, as distances from w0: 16 panels of width 1/2,
 # then each panel twice as wide as the one before, up to 2**1023
 _BREAKS = np.concatenate((np.arange(17) * 0.5, np.ldexp(8.0, np.arange(1, 1021))))
@@ -710,20 +749,30 @@ def gauss_kronrod(g: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The integral of ``g`` over each oriented interval [a_i, b_i], NaN
     where it fails.
 
-    One adaptive pass integrates all intervals.  Each round evaluates ``g``
-    once, on a 1-D array holding the 15 nodes of every open subinterval,
-    keeps the K15 value of each subinterval whose |K15 - G7| is at most
-    ``_QUAD_TOL * max(1, |K15|)``, and bisects the others.  An interval fails
-    where ``g`` is not finite at a node, where it would need more than
-    ``_QUAD_LIMIT`` subintervals, or where a bisection stalls
+    One adaptive pass integrates a chunk of intervals.  Each round
+    evaluates ``g`` once, on a 1-D array holding the 15 nodes of every open
+    subinterval, keeps the K15 value of each subinterval whose |K15 - G7|
+    is at most ``_QUAD_TOL * max(1, |K15|)``, and bisects the others.  An
+    interval fails where ``g`` is not finite at a node, where it would need
+    more than ``_QUAD_LIMIT`` subintervals, or where a bisection stalls
     (:func:`_stalled`): then no subinterval size meets the tolerance.
 
     The subintervals of an interval keep their order whatever is integrated
     beside them, and the values kept in one round are added in that order,
     then to the sum of the rounds before, so each result depends only on
     (g, a_i, b_i); :func:`_gauss_kronrod_at` gives the same bits for one
-    interval.
+    interval.  So the chunks, of at most ``_QUAD_CHUNK`` intervals in their
+    order, leave the bits as they are, and bound the memory of a pass
+    whatever the number of intervals.
     """
+    if a.size <= _QUAD_CHUNK:
+        return _adaptive_pass(g, a, b)
+    return np.concatenate([_adaptive_pass(g, a[i:i + _QUAD_CHUNK], b[i:i + _QUAD_CHUNK])
+                           for i in range(0, a.size, _QUAD_CHUNK)])
+
+
+def _adaptive_pass(g: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`gauss_kronrod`'s adaptive pass over all of the intervals at once."""
     n = a.size
     total = np.zeros(n)
     leaves = np.ones(n, dtype=np.int64)

@@ -528,3 +528,89 @@ def test_fail_where():
     out = fail_where(bad, aj, "{}", arg)
     assert element_bits(out, 0) == bits(Jet3.variable_x(1.0))
     assert all(math.isnan(float.fromhex(h)) for h in element_bits(out, 1))
+
+
+# -- the jet memo of one grid --------------------------------------------------
+
+def counting_field(expr=lambda T, X: exp(T) * sin(X)):
+    calls = []
+
+    def counted(T, X):
+        calls.append(1)
+        return expr(T, X)
+
+    return ScalarField(counted), calls
+
+
+def bits_of(j: Jet3) -> list:
+    return [np.asarray(c, dtype=float).tobytes() for c in j.c]
+
+
+def test_the_memo_evaluates_each_field_once_per_grid():
+    f, calls = counting_field()
+    g, g_calls = counting_field()
+    grid = Point(np.array([[0.5], [1.0]]), np.array([[0.0, 1.0, 2.0]]))
+    same = Point(grid.t.copy(), grid.x.copy())  # equal contents, other arrays
+    other = Point(np.array([0.5, 1.0]), np.array([0.0, 2.0]))
+    first = f.jet(grid)
+    assert [bits_of(j) for j in (f.jet(grid), f.jet(same))] == [bits_of(first)] * 2
+    assert len(calls) == 1
+    g.jet(grid)  # a field of its own, on the same grid
+    assert (len(calls), len(g_calls)) == (1, 1)
+    f.jet(other)
+    f.jet(grid)  # the other grid emptied the memo
+    assert len(calls) == 3
+    f.jet(Point(0.5, 1.0))
+    f.jet(Point(0.5, 1.0))  # single points bypass it
+    assert len(calls) == 5
+
+
+def test_the_memo_does_not_alias_the_callers_arrays():
+    f, calls = counting_field()
+    t, x = np.array([0.5, 1.0, 1.5]), np.array([0.25, 0.5, 0.75])
+    field_x = ScalarField(lambda T, X: X)  # its value would be x itself, unless copied
+    before, x_before = bits_of(f.jet(Point(t, x))), bits_of(field_x.jet(Point(t, x)))
+    t[1], x[1] = 2.0, -1.0
+    assert bits_of(field_x.jet(Point(np.array([0.5, 1.0, 1.5]), np.array([0.25, 0.5, 0.75])))) \
+        == x_before
+    assert bits_of(f.jet(Point(np.array([0.5, 1.0, 1.5]), np.array([0.25, 0.5, 0.75])))) == before
+    assert len(calls) == 1
+    j = f.jet(Point(t, x))  # the new contents are a new grid
+    assert len(calls) == 2
+    assert element_bits(j, 1) == bits(f.jet(Point(2.0, -1.0)))
+
+
+def test_the_memo_keeps_its_jets_read_only():
+    f = ScalarField(lambda T, X: T * X)
+    p = Point(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+    j = f.jet(p)
+    with pytest.raises(ValueError, match="read-only"):
+        j.c[0][0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        j.c[1] += 1.0
+    j.c[0] = np.zeros(2)  # the list is the caller's own
+    assert f.jet(p).c[0].tolist() == [3.0, 8.0]
+
+
+def test_a_float_t_with_an_array_x_stays_a_float():
+    f = ScalarField(lambda T, X: log_abs(X - T) * T)
+    j = f.jet(Point(0.5, np.array([0.5, 1.5])))
+    assert all(math.isnan(float.fromhex(e)) for e in element_bits(j, 0))
+    assert element_bits(j, 1) == bits(f.jet(Point(0.5, 1.5)))
+    # the same numbers as an array of t are another grid, with the same bits
+    k = f.jet(Point(np.array([0.5, 0.5]), np.array([0.5, 1.5])))
+    assert element_bits(k, 1) == element_bits(j, 1)
+    # a float t is taken through math, and an array of t element by element
+    g = ScalarField(lambda T, X: exp(T) * X)
+    with pytest.raises(EvaluationError):
+        g.jet(Point(1000.0, np.array([0.5, 1.5])))
+    assert np.isnan(g.jet(Point(np.array(1000.0), np.array([0.5, 1.5]))).v).all()
+
+
+def test_a_batch_that_raises_leaves_nothing_in_the_memo():
+    f, calls = counting_field(lambda T, X: X / 0.0)
+    p = Point(np.array([1.0]), np.array([2.0]))
+    for _ in range(2):
+        with pytest.raises(EvaluationError):
+            f.jet(p)
+    assert len(calls) == 2

@@ -8,6 +8,7 @@ overflows.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -242,3 +243,41 @@ def test_each_batched_value_is_the_single_point_value(lam, ws):
             assert math.isnan(v), w
         else:
             assert v.hex() == want.hex(), w
+
+
+def test_chunked_values_are_the_single_point_values(monkeypatch):
+    # lambda = 2: d has no real root, so every value exists, on either side of w0
+    ws = np.random.default_rng(22).uniform(-6.0, 12.0, 50)
+    single = Antiderivative(integrand(2.0), CASE5_W0)
+    single(np.array([-1e300, 1e300]))  # every panel summed, so points take the float path
+    want = [single._value_at(float(w)).hex() for w in ws]
+    sizes = []
+
+    def chunk(g, a, b, adaptive_pass=jets._adaptive_pass):
+        sizes.append(a.size)
+        return adaptive_pass(g, a, b)
+
+    monkeypatch.setattr(jets, "_QUAD_CHUNK", 7)
+    monkeypatch.setattr(jets, "_adaptive_pass", chunk)
+    got = Antiderivative(integrand(2.0), CASE5_W0)._value(ws)
+    assert len(sizes) > 7 and max(sizes) == 7
+    assert [v.hex() for v in got.tolist()] == want
+    assert not np.isnan(got).any()
+
+
+def test_the_quadrature_of_a_large_grid_works_in_bounded_memory():
+    # case 5's abscissae x/t on a 200x200 grid: 40,000 partial panels, which
+    # one adaptive pass over all of them would hold at once (22 MiB)
+    e = get_case(5)
+    p = e.sample_region.points(200, 200)
+    ws = (p.x / p.t)[e.valid(p)]
+    assert ws.size == 40_000
+    A = Antiderivative(integrand(e.lam), CASE5_W0)
+    tracemalloc.start()
+    try:
+        vals = A._value(ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not np.isnan(vals).any()
+    assert peak < 12 * 2**20

@@ -541,3 +541,23 @@ class TestBatchedSweepAcrossSkips:
         assert math.isinf(reduced_system_residual(F_MINUS_ONE, xi, Point(0.0, 0.0))[1])
         rep = assert_same_as_reference(fn, Region(0.0, 1.0, -1.0, 1.0), 3, 4)
         assert rep.points_checked == 12
+
+
+class Fields:
+    """The fields of a catalog entry, each as a wrapper of its own."""
+
+    def __init__(self, e):
+        self.f, self.xi, self.theta = (ScalarField(g.expr, g.name) for g in (e.f, e.xi, e.theta))
+
+
+@pytest.mark.parametrize("entry", iter_cases(), ids=lambda e: f"case{e.id}")
+def test_relations_sharing_the_jet_memo_report_as_alone(entry):
+    """The rows of RELATIONS swept in order, on one grid, read each field's
+    jet from the memo; each report is the one of a sweep whose fields are
+    wrappers of their own, which share no jet with any other sweep."""
+    region, n = entry.sample_region, 50
+    shared = [report_bits(sweep(row(entry), region, n, n, valid=entry.valid))
+              for row in RELATIONS.values()]
+    alone = [report_bits(sweep(row(Fields(entry)), region, n, n, valid=entry.valid))
+             for row in RELATIONS.values()]
+    assert shared == alone

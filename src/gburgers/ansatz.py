@@ -149,7 +149,7 @@ def build_solution(entry: CatalogEntry, b: RiccatiBranch) -> SolutionField:
 
     def off_poles(p: Point):
         # on arrays, where a failed theta and a pole of phi are NaN
-        w = theta.sample(np.atleast_1d(p.t), np.atleast_1d(p.x))
+        w = theta.sample(p.t, p.x)
         return (np.isfinite(w) & np.isfinite(phi(b, w))).reshape(np.shape(p.t))
 
     def valid(p: Point):

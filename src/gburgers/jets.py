@@ -25,7 +25,8 @@ coth at zero, overflow or domain error in :mod:`math`), the element becomes
 NaN and the others are unaffected.  ``ScalarField.jet`` takes a
 :class:`Point` of arrays and returns such a jet, NaN in all ten entries at
 every element whose jet is not finite.  Plain arrays
-(``ScalarField.sample``) keep numpy's ufuncs.  :func:`fail_where` is the one
+(``ScalarField.sample``) keep numpy's ufuncs.  For both, a float beside an
+array counts as an array of one element.  :func:`fail_where` is the one
 place that knows this policy: every deliberate exclusion of the package (a
 zero divisor, a pole of a Riccati branch, a vanishing f or theta_x, a
 projective singularity, a failed quadrature) goes through it.
@@ -33,13 +34,13 @@ projective singularity, a failed quadrature) goes through it.
 The jet memo.  The relations of a catalog case read the same fields on the
 same grid, so ``ScalarField.jet`` at a point of arrays keeps the jet of
 each field on the last grid it saw and computes it once there.  The grid
-is keyed by the shapes and bytes of t and x, and a new grid empties the
-memo, so it never holds more than one grid's jets.  A field is keyed by
-identity, which is sound because evaluation is pure.  The memo computes a
-jet from its own copies of the array coordinates (a float coordinate stays
-a float), so no entry aliases a caller's array, and every coefficient array
-it keeps is read-only; each call gets a Jet3 of its own.  Single points
-bypass the memo, and a batch that raises leaves nothing in it.
+is keyed by the shapes and bytes of t and x as float arrays, and a new
+grid empties the memo, so it never holds more than one grid's jets.  A
+field is keyed by identity, which is sound because evaluation is pure.  A
+miss computes the jet from the memo's own copies of t and x, so no entry
+aliases a caller's array, and every coefficient array it keeps is
+read-only; each call gets a Jet3 of its own.  Single points bypass the
+memo, and a batch that raises leaves nothing in it.
 """
 
 from __future__ import annotations
@@ -594,18 +595,16 @@ class ScalarField:
         (see the module docstring); a single point raises instead.
         """
         global _memo_grid
-        t, x = p
-        if not (isinstance(t, np.ndarray) or isinstance(x, np.ndarray)):
+        if not (isinstance(p.t, np.ndarray) or isinstance(p.x, np.ndarray)):
             return self._jet(p)
-        grid = tuple((isinstance(c, np.ndarray), np.shape(c), np.asarray(c, dtype=float).tobytes())
-                     for c in p)
+        t, x = (np.atleast_1d(np.asarray(c, dtype=float)) for c in p)
+        grid = (t.shape, t.tobytes(), x.shape, x.tobytes())
         if grid != _memo_grid:
             _memo.clear()
             _memo_grid = grid
         j = _memo.get(self)
         if j is None:
-            own = [np.array(c, dtype=float) if isinstance(c, np.ndarray) else c for c in p]
-            j = self._jet(Point(*own))
+            j = self._jet(Point(t.copy(), x.copy()))
             for ci in j.c:
                 if isinstance(ci, np.ndarray):
                     ci.flags.writeable = False
@@ -633,13 +632,14 @@ class ScalarField:
         return fail_where(not math.isfinite(r), r, "non-finite value of field {} at ({}, {})",
                           self.name or "<anonymous>", t, x)
 
-    def sample(self, t, xs: np.ndarray) -> np.ndarray:
-        """Vectorized values over an array of x, at a fixed t or at an array
-        of t of the same shape."""
-        r = self._call(t, xs)
-        if isinstance(r, np.ndarray):
-            return r.astype(float)
-        return np.full(np.shape(xs), float(r))
+    def sample(self, t, x) -> np.ndarray:
+        """Values at the points of t and x, which broadcast against each other,
+        a float counting as an array of one element: one call of the
+        expression on plain arrays, and a new read-only float array of the
+        broadcast shape."""
+        t, x = np.atleast_1d(t, x)
+        r = np.array(self._call(t, x), dtype=float)
+        return np.broadcast_to(r, np.broadcast_shapes(t.shape, x.shape))
 
     # fields compose by arithmetic into new fields
 

@@ -5,14 +5,15 @@ fourth-order Runge-Kutta in time with a parabolic step restriction, and
 Dirichlet boundary rows pinned to data at every stage time.  The stage
 times are t_n = t0 + n*dt and t_n + dt/2, and f and the Dirichlet data are
 sampled once at each, in blocks of up to _BLOCK_STEPS steps: one
-``f.sample`` over the block's stage times by the interior points and one
-``boundary_values`` call per block.  numpy gives an element the same bits
-whatever the length of its array, so the block boundaries do not show in
-the levels.  A block's levels are the rows of one array, checked for
-blow-up once the block's steps are done.  The right-hand side is the
-paper's operator L[u] = u*u_x + f*u_xx, with u_t = -L[u]; forward
-integration is diffusive only for f < 0, so specs are rejected unless f
-stays strictly negative on the region.
+``f.sample`` on a column of the block's stage times and the row of interior
+points and one ``boundary_values`` call per block.  numpy gives an element
+the same bits whatever the shape of its array, and a float t samples as an
+array of one element, so neither the blocks nor t0 show in the levels.  A
+block's levels are the rows of one array, checked for blow-up once the
+block's steps are done.  The right-hand side is the paper's operator
+L[u] = u*u_x + f*u_xx, with u_t = -L[u]; forward integration is diffusive
+only for f < 0, so specs are rejected unless f stays strictly negative on
+the region.
 
 The oracle is manufactured-only: the initial and boundary data are
 sampled from the exact solution being checked, so the measured error is
@@ -82,21 +83,20 @@ class IbvpSpec:
 
     def boundary_values(self, ts: np.ndarray) -> np.ndarray:
         """The Dirichlet data: row i is u at (ts[i], x0) and (ts[i], x1)."""
-        t, x = np.broadcast_arrays(np.asarray(ts, dtype=float)[:, None],
-                                   np.array([self.region.x0, self.region.x1], dtype=float))
-        return _sample(self.exact.u, t, x)
+        return _sample(self.exact.u, np.asarray(ts, dtype=float)[:, None],
+                       np.array([self.region.x0, self.region.x1]))
 
 
-def _sample(field: ScalarField, t, xs: np.ndarray, error=SingularPointError) -> np.ndarray:
-    """field at (t, xs), where t is a float or an array like xs.  A pole of
+def _sample(field: ScalarField, t, x, error=SingularPointError) -> np.ndarray:
+    """field at the points of t and x, as ``ScalarField.sample``.  A pole of
     phi is NaN on arrays, and max/min would drop it silently, so the first
     non-finite value in row-major order raises, naming its point."""
-    vals = field.sample(t, xs)
+    vals = field.sample(t, x)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
-        i = bad[0]
+        ti, xi = (np.broadcast_to(c, vals.shape).flat[bad[0]] for c in (t, x))
         raise error(f"non-finite value of field {field.name or '<anonymous>'} at (t, x) = "
-                    f"({np.broadcast_to(t, xs.shape).flat[i]:.6g}, {xs.flat[i]:.6g})")
+                    f"({ti:.6g}, {xi:.6g})")
     return vals
 
 
@@ -117,17 +117,18 @@ def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
     dt = dt_safety * min(dx^2/(2*max|f|), dx/(1 + max|u|)), rounded down so
     the final step lands exactly on t1, with f and the exact u sampled once
     each on one probe grid, _PROBE_NT rows of the mesh.  Every check runs
-    before level 0, the initial data; later levels carry the Dirichlet data
-    at their ends.  Step n reads f and those data at t_n + dt/2, for k2 and
-    k3, and at t_{n+1} = t0 + (n+1)*dt, for k4, level n+1's ends and the next
-    k1, so each time of the grid is sampled once.  The data of a block of up
-    to _BLOCK_STEPS steps are sampled together before its first step, so a
-    non-finite Dirichlet value raises before any level of its block.  Each
-    k is L[u] = u*u_x + f*u_xx at a stage row, and level n+1 is
-    u - dt/6*(k1 + 2*k2 + 2*k3 + k4), a row of a new array per block, never
-    written once yielded.  A block's levels are checked for finiteness after
-    its last step: those before the first non-finite one are yielded, and
-    BlowUpError then gives the time of the last of them.
+    before level 0, the initial data, whose ends are the Dirichlet data at
+    t0; later levels carry the Dirichlet data at their ends.  Step n reads f
+    and those data at t_n + dt/2, for k2 and k3, and at t_{n+1} = t0 +
+    (n+1)*dt, for k4, level n+1's ends and the next k1, so each time of the
+    grid is sampled once.  A block's data are sampled together before its
+    first step, so a non-finite Dirichlet value raises before any level of
+    the block.  Each k is L[u] = u*u_x + f*u_xx at a stage row.  k4's is the
+    row of level n+1, a row of a new array per block whose ends hold the
+    data at t_{n+1}; u - dt/6*(k1 + 2*k2 + 2*k3 + k4) then overwrites it,
+    and it is never written once yielded.  A block's levels are checked for
+    finiteness after its last step: those before the first non-finite one
+    are yielded, and BlowUpError then gives the time of the last of them.
     Deterministic: identical specs produce bit-identical levels.
     """
     region = spec.region
@@ -164,16 +165,10 @@ def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
     c_half, c_dt, c_sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
     x_int = xs[1:-1]
 
-    def data(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f on the interior and the Dirichlet data, one row per time of ts."""
-        return (spec.f.sample(*np.broadcast_arrays(ts[:, None], x_int)),
-                spec.boundary_values(ts))
-
-    # the stage rows at t_n + dt/2 and at t_{n+1}, whose ends hold the
-    # Dirichlet data, and their (left, centre, right) stencil views
-    mid_row, end_row = np.empty_like(xs), np.empty_like(xs)
+    # the stage row at t_n + dt/2, whose ends hold the Dirichlet data, and its
+    # (left, centre, right) stencil views; the stage row at t_{n+1} is the new level
+    mid_row = np.empty_like(xs)
     mid_l, mid_c, mid_r = mid_row[:-2], mid_row[1:-1], mid_row[2:]
-    end_l, end_c, end_r = end_row[:-2], end_row[1:-1], end_row[2:]
     ux_buf = np.empty_like(x_int)
     k1, k2, k3, k4 = (np.empty_like(x_int) for _ in range(4))
 
@@ -193,18 +188,17 @@ def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
 
     t = float(region.t0)
     yield NumericSolution(t, xs, u0, meta)
-    # t_{n+1}'s data serve k4, level n+1's ends and the next k1; level 0's ends come from u0
-    f_t0, ends_t0 = data(np.array([t]))
-    f_n = f_t0[0]
-    u = u0.copy()
-    u[0], u[-1] = ends_t0[0].tolist()
-    u_l, u_c, u_r = u[:-2], u[1:-1], u[2:]
+    # t_{n+1}'s data serve k4, level n+1's ends and the next k1; level 0's ends are
+    # boundary_values([t0]), as sample takes the float t0 as an array of one element
+    f_n = spec.f.sample(t, x_int)
+    u_l, u_c, u_r = u0[:-2], u0[1:-1], u0[2:]
     for n0 in range(0, n_steps, _BLOCK_STEPS):
         ns = np.arange(n0, min(n0 + _BLOCK_STEPS, n_steps))
         t_next = region.t0 + (ns + 1) * dt
         ts = np.column_stack((region.t0 + ns * dt + 0.5 * dt, t_next)).ravel()
-        f_block, ends_block = data(ts)
-        mids, ends = ends_block[0::2].tolist(), ends_block[1::2].tolist()
+        # f on the interior and the Dirichlet data, one row per time of ts
+        f_block, ends_block = spec.f.sample(ts[:, None], x_int), spec.boundary_values(ts)
+        mids = ends_block[0::2].tolist()
         # row i is level n0+i+1: a new array per block, whose rows are never
         # written once yielded
         levels = np.empty((len(ns), xs.size))
@@ -223,10 +217,11 @@ def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
                 multiply(k2, c_half, mid_c)
                 subtract(u_c, mid_c, mid_c)
                 rhs(mid_l, mid_c, mid_r, fm, k3)
-                end_row[0], end_row[-1] = ends[i]
-                multiply(k3, c_dt, end_c)
-                subtract(u_c, end_c, end_c)
-                rhs(end_l, end_c, end_r, f_next, k4)
+                # k4's stage row is level n+1's, whose ends hold the data at t_{n+1}
+                v_l, v_c, v_r = lev_l[i], lev_c[i], lev_r[i]
+                multiply(k3, c_dt, v_c)
+                subtract(u_c, v_c, v_c)
+                rhs(v_l, v_c, v_r, f_next, k4)
                 # k2 becomes dt/6*(k1 + 2*k2 + 2*k3 + k4), summed left to right
                 add(k2, k2, k2)
                 add(k2, k1, k2)
@@ -234,9 +229,8 @@ def march(spec: IbvpSpec) -> Iterator[NumericSolution]:
                 add(k2, k3, k2)
                 add(k2, k4, k2)
                 multiply(k2, c_sixth, k2)
-                u_next = lev_c[i]
-                subtract(u_c, k2, u_next)
-                u_l, u_c, u_r, f_n = lev_l[i], u_next, lev_r[i], f_next
+                subtract(u_c, k2, v_c)
+                u_l, u_c, u_r, f_n = v_l, v_c, v_r, f_next
         finite = np.isfinite(lev_c).all(axis=1)
         stable = len(ns) if finite.all() else int(finite.argmin())
         times = t_next.tolist()

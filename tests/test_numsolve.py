@@ -75,25 +75,18 @@ class TestSolve:
         assert next(march(spec)).t == 0.0 and num.t == pytest.approx(1.0)
 
     def test_level_0_is_the_initial_data(self):
-        # a u whose samples at the float t0 (the initial data) are 1 and whose
-        # samples at arrays of t (the probe grid and the Dirichlet data) are 2
-        # and 3 at the ends: level 0 keeps the initial values, every later level
-        # takes its ends from the Dirichlet data at its time
-        def u(T, X):
-            if np.ndim(T) == 0:
-                return 0.0 * X + 1.0
-            return np.where(X < 0.0, 2.0, 3.0)
-
-        spec = IbvpSpec(f=F_MINUS_ONE, region=Region(0.0, 0.01, -1.0, 1.0), n_x=16,
-                        exact=solution(u))
+        # level 0 is the initial data, whose ends are the Dirichlet data at t0;
+        # every later level takes its ends from the Dirichlet data at its time
+        spec = IbvpSpec(f=F_MINUS_ONE, region=Region(0.3, 0.31, -1.0, 1.0), n_x=16,
+                        exact=solution(lambda T, X: np.exp(T) * np.sin(3.0 * X) + np.cos(T)))
         levels = march(spec)
         first = next(levels)
-        assert first.t == 0.0
-        assert np.array_equal(first.u, np.ones(17))
+        assert first.t == 0.3
+        assert first.u.tobytes() == spec.initial_values(first.xs).tobytes()
+        assert (first.u[0], first.u[-1]) == tuple(spec.boundary_values([0.3])[0])
         later = list(levels)
         assert later
         for num in later:
-            assert (num.u[0], num.u[-1]) == (2.0, 3.0)
             assert (num.u[0], num.u[-1]) == tuple(spec.boundary_values([num.t])[0])
 
     def test_positive_f_rejected(self):
@@ -336,20 +329,20 @@ class TestProbeGrid:
         assert steps % numsolve._BLOCK_STEPS != 0 and len(levels) == steps + 1
         dt = (1.0 - 0.1) / steps
         # f on the interior and u at both ends are asked once at each time of
-        # the grid t_n = t0 + n*dt and t_n + dt/2, in order: at t0, then once
-        # per block of steps
+        # the grid t_n = t0 + n*dt and t_n + dt/2, in order: at t0 (u's ends in
+        # the initial data), then on a column of the block's times per block
         grid = [t for n in range(steps) for t in (0.1 + n * dt, 0.1 + n * dt + 0.5 * dt)]
         grid = [float.hex(t) for t in grid + [0.1 + steps * dt]]
-        blocks = 1 + math.ceil(steps / numsolve._BLOCK_STEPS)
-        assert len(calls["f"]) == 1 + blocks and len(calls["u"]) == 2 + blocks
-        for T, X in calls["f"][1:]:
-            assert np.array_equal(X, np.broadcast_to(level0.xs[1:-1], X.shape))
-            assert np.array_equal(T, np.broadcast_to(T[:, :1], T.shape))
+        blocks = math.ceil(steps / numsolve._BLOCK_STEPS)
+        assert len(calls["f"]) == 2 + blocks and len(calls["u"]) == 2 + blocks
+        assert np.array_equal(calls["f"][1][1], level0.xs[1:-1])
+        for T, X in calls["f"][2:]:
+            assert np.array_equal(X, level0.xs[1:-1]) and T.shape == (len(T), 1)
         for T, X in calls["u"][2:]:
-            assert np.array_equal(X, np.broadcast_to([-1.0, 1.0], X.shape))
-            assert np.array_equal(T, np.broadcast_to(T[:, :1], T.shape))
-        for name, first in (("f", 1), ("u", 2)):
-            assert [float.hex(t) for T, _ in calls[name][first:] for t in T[:, 0].tolist()] == grid
+            assert np.array_equal(X, [-1.0, 1.0]) and T.shape == (len(T), 1)
+        for name in ("f", "u"):
+            assert calls[name][1][0].shape == (1,)
+            assert [float.hex(t) for T, _ in calls[name][1:] for t in T.ravel().tolist()] == grid
         # every level's ends are the Dirichlet data at its time
         for level in levels:
             assert [float.hex(v) for v in (level.u[0], level.u[-1])] == [

@@ -4,7 +4,8 @@ Random Riccati branches are evaluated at random abscissae together with
 the exact poles of each branch, and random group elements at random times
 together with their projective singularity.  Random sweeps of the catalog's
 relations are compared with the per-point reference sweep, and each case's
-f on a random block of times with the same times one row at a time.
+f, xi and theta on a random block of times with the same times one row at a
+time.
 """
 
 import math
@@ -164,10 +165,14 @@ def time_blocks(draw, region: Region):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_f_on_a_block_of_times_matches_each_row(e, data):
-    # the march samples f for a block of steps in one call; its data stay
-    # those of one call per time only if every row keeps its bits
+    # the march samples f and u for a block of steps in one call, on a column
+    # of times and a row of abscissae; its data stay those of one call per
+    # time only if every row keeps its bits: the column, the full block and
+    # each float t give the same bits
     ts, xs = data.draw(time_blocks(e.sample_region))
-    block = e.f.sample(*np.broadcast_arrays(ts[:, None], xs))
-    for i, t in enumerate(ts.tolist()):
-        row = e.f.sample(*np.broadcast_arrays(np.array([t])[:, None], xs))
-        assert block[i].tobytes() == row[0].tobytes(), t
+    for field in (e.f, e.xi, e.theta):
+        block = field.sample(ts[:, None], xs)
+        full = field.sample(*np.broadcast_arrays(ts[:, None], xs))
+        assert block.tobytes() == full.tobytes(), field.name
+        for i, t in enumerate(ts.tolist()):
+            assert block[i].tobytes() == field.sample(t, xs).tobytes(), (field.name, t)

@@ -144,7 +144,7 @@ def build_solution(entry: CatalogEntry, b: RiccatiBranch) -> SolutionField:
     """
     theta = entry.theta
 
-    u = ScalarField(lambda T, X: phi(b, theta.expr(T, X)),
+    u = ScalarField(lambda T, X: phi(b, theta(T, X)),
                     name=f"phi[nu={b.nu:g},c1={b.c1:g},c2={b.c2:g}](theta[{entry.id}])")
 
     def off_poles(p: Point):

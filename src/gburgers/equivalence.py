@@ -173,7 +173,7 @@ def transform_f(g: EquivalenceElement, f: ScalarField) -> ScalarField:
     scale = g.kappa * g.kappa / g.det
 
     def expr(T, X):
-        return scale * f.expr(*_point_action(ginv, T, X))
+        return scale * f(*_point_action(ginv, T, X))
 
     return ScalarField(expr, name=f"pushforward({f.name})")
 
@@ -185,7 +185,7 @@ def transform_solution(g: EquivalenceElement, sol: SolutionField) -> SolutionFie
 
     def expr(T, X):
         t, x = _point_action(ginv, T, X)
-        return _u_action(g, t, x, sol.u.expr(t, x))
+        return _u_action(g, t, x, sol.u(t, x))
 
     def valid(p: Point):
         return refine(_regular(ginv, p.t), p, lambda q: sol.valid(apply_point(ginv, q)))

@@ -16,15 +16,19 @@ whole grid (Taylor-mode forward differentiation with the grid as the batch
 dimension): on a column of t and a row of x, an entry of t alone stays a
 column.  Entries that do not depend on the point, such as the 1.0 of
 ``variable_t``, may stay floats.  Arithmetic acts elementwise.  The
-elementary functions take their values at each element through :mod:`math`,
-and integer powers through Python's ``**``, because numpy's versions can
-differ from those in the last bit; so every element of an array jet is
-bit-identical to the jet of that point computed alone.  Where a jet of a
-single point raises :class:`EvaluationError` (zero divisor, log of zero,
-coth at zero, overflow or domain error in :mod:`math`), the element becomes
-NaN and the others are unaffected.  ``ScalarField.jet`` takes a
-:class:`Point` of arrays and returns such a jet, NaN in all ten entries at
-every element whose jet is not finite.  Plain arrays
+elementary functions take their values from the C library's libm, for
+floats and for arrays alike: for a float through :mod:`math` and Python's
+``pow``; for an array through numpy where its float64 loop calls libm's own
+function (``np.sin``, ``np.cos``, ``np.sqrt``, and ``np.float_power`` for
+integer powers), and otherwise element by element through :mod:`math`,
+because numpy's own ``exp``, ``log``, ``tan``, ``sinh``, ``cosh``, ``tanh``
+and ``arctan`` can differ from libm's in the last bit.  So every element of
+an array jet is bit-identical to the jet of that point computed alone.
+Where a jet of a single point raises :class:`EvaluationError` (zero
+divisor, log of zero, coth at zero, overflow or domain error in :mod:`math`
+or ``pow``), the element becomes NaN and the others are unaffected.  ``ScalarField.jet``
+takes a :class:`Point` of arrays and returns such a jet, NaN in all ten
+entries at every element whose jet is not finite.  Plain arrays
 (``ScalarField.sample``) keep numpy's ufuncs.  For both, a float beside an
 array counts as an array of one element.  :func:`fail_where` is the one
 place that knows this policy: every deliberate exclusion of the package (a
@@ -37,10 +41,18 @@ each field on the last grid it saw and computes it once there.  The grid
 is keyed by the shapes and bytes of t and x as float arrays, and a new
 grid empties the memo, so it never holds more than one grid's jets.  A
 field is keyed by identity, which is sound because evaluation is pure.  A
-miss computes the jet from the memo's own copies of t and x, so no entry
-aliases a caller's array, and every coefficient array it keeps is
-read-only; each call gets a Jet3 of its own.  Single points bypass the
-memo, and a batch that raises leaves nothing in it.
+miss computes the jet from the variable jets of the memo's own read-only
+copies of t and x, kept with the grid, so no entry aliases a caller's
+array, and every coefficient array it keeps is read-only; each call gets a
+Jet3 of its own.  Single points bypass the memo, and a field whose batch
+raises leaves nothing in it.
+
+A field read inside another field's expression is a call, ``field(T, X)``,
+never a read of ``field.expr``.  At the memo grid's variable jets the call
+is that field's jet from the memo, so a field shared by several others (a
+potential theta under each branch of phi(theta)) is computed once per grid.
+At anything else, single points, ``sample`` and ``value`` among them, it
+runs the expression itself.
 """
 
 from __future__ import annotations
@@ -50,7 +62,6 @@ from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partialmethod
-from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -181,29 +192,35 @@ def _coeff(v):
     return np.asarray(v, dtype=float) if isinstance(v, np.ndarray) else float(v)
 
 
-def _nan_on_error(fn, v: float, *args) -> float:
+def _nan_on_error(fn, v: float) -> float:
     try:
-        return fn(v, *args)
+        return fn(v)
     except _ELEMENT_ERRORS:
         return math.nan
 
 
-def _pointwise(fn, u, *args):
-    """fn(u, *args) for a float.  For an array, fn at each element as a
-    Python float, NaN at the elements where it raises."""
+def _pointwise(fn, u):
+    """fn(u) for a float.  For an array, fn at each element as a Python
+    float, NaN at the elements where it raises."""
     if not isinstance(u, np.ndarray):
-        return fn(u, *args)
+        return fn(u)
     vals = u.ravel().tolist()
     try:
-        out = np.fromiter(map(fn, vals, *map(repeat, args)), float, len(vals))
+        out = np.fromiter(map(fn, vals), float, len(vals))
     except _ELEMENT_ERRORS:
-        out = np.array([_nan_on_error(fn, v, *args) for v in vals], dtype=float)
+        out = np.array([_nan_on_error(fn, v) for v in vals], dtype=float)
     return out.reshape(u.shape)
 
 
 def _ipow(u, n: int):
-    """u ** n, elementwise through Python floats for an array."""
-    return _pointwise(pow, u, n)
+    """u ** n through the C library's pow: Python's pow for a float, and
+    np.float_power for an array, whose float64 loop calls that same pow,
+    with NaN where pow overflows (a finite u), as Python's raises there."""
+    if not isinstance(u, np.ndarray):
+        return pow(u, n)
+    r = np.float_power(u, n)
+    over = np.isinf(r) & np.isfinite(u)
+    return np.where(over, math.nan, r) if over.any() else r
 
 
 def fail_where(bad, u, message: str, *args, error=EvaluationError):
@@ -433,13 +450,17 @@ class Jet3:
         are still added, so that signed zeros and non-finite g carry over.
         """
         _, w1, w2, w3, w4, w5, w6, w7, w8, w9 = self.c
-        s3 = 0.0 + w1 * w1
-        s4 = 0.0 + w1 * w2 + w2 * w1
-        s5 = 0.0 + w2 * w2
-        s6 = 0.0 + w1 * w3 + w3 * w1
-        s7 = 0.0 + w1 * w4 + w2 * w3 + w3 * w2 + w4 * w1
-        s8 = 0.0 + w1 * w5 + w2 * w4 + w4 * w2 + w5 * w1
-        s9 = 0.0 + w2 * w5 + w5 * w2
+        # products commute exactly, so each symmetric pair is formed once and
+        # added twice in the loop's order; a square is never -0.0
+        p12, p13, p14, p15 = w1 * w2, w1 * w3, w1 * w4, w1 * w5
+        p23, p24, p25 = w2 * w3, w2 * w4, w2 * w5
+        s3 = w1 * w1
+        s4 = 0.0 + p12 + p12
+        s5 = w2 * w2
+        s6 = 0.0 + p13 + p13
+        s7 = 0.0 + p14 + p23 + p23 + p14
+        s8 = 0.0 + p15 + p24 + p24 + p15
+        s9 = 0.0 + p25 + p25
         h2 = g2 / 2.0
         h3 = g3 / 6.0
         z2 = h2 * 0.0
@@ -481,9 +502,10 @@ class Jet3:
 # -- elementary functions (float / ndarray / Jet3) --------------------------
 #
 # Each function is one row of _ELEMENTARY.  Its jet rule maps the value u
-# of a jet to the derivatives (g, g', g'', g''') of g at u, and takes every
-# value of g through _pointwise, so an array jet gets math's values element
-# by element.
+# of a jet to the derivatives (g, g', g'', g''') of g at u.  The rules of
+# sqrt, sin and cos take their values from the module's own functions, whose
+# numpy loops call libm's sqrt, sin and cos; the other rules take theirs
+# through _pointwise, so an array jet gets math's values element by element.
 
 def _log_abs_rule(u):
     # the derivatives of ln|g| are g'/g regardless of sign
@@ -494,7 +516,7 @@ def _log_abs_rule(u):
 
 def _sqrt_rule(u):
     u = fail_where(u <= 0.0, u, "sqrt of non-positive value in jet evaluation")
-    s = _pointwise(math.sqrt, u)
+    s = sqrt(u)
     return s, 0.5 / s, -0.25 / (u * s), 0.375 / (u * u * s)
 
 
@@ -528,10 +550,8 @@ _ELEMENTARY = {
     "log_abs": (lambda u: math.log(abs(fail_where(u == 0.0, u, "log of zero"))),
                 lambda a: np.log(np.abs(a)), _log_abs_rule),
     "sqrt": (math.sqrt, np.sqrt, _sqrt_rule),
-    "sin": (math.sin, np.sin, lambda u: _linear_rule(
-        _pointwise(math.sin, u), _pointwise(math.cos, u), -1.0)),
-    "cos": (math.cos, np.cos, lambda u: _linear_rule(
-        _pointwise(math.cos, u), -_pointwise(math.sin, u), -1.0)),
+    "sin": (math.sin, np.sin, lambda u: _linear_rule(sin(u), cos(u), -1.0)),
+    "cos": (math.cos, np.cos, lambda u: _linear_rule(cos(u), -sin(u), -1.0)),
     "tan": (math.tan, np.tan, lambda u: _riccati_rule(_pointwise(math.tan, u), 1.0)),
     "sinh": (math.sinh, np.sinh, lambda u: _linear_rule(
         _pointwise(math.sinh, u), _pointwise(math.cosh, u), 1.0)),
@@ -587,6 +607,14 @@ class ScalarField:
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise EvaluationError(f"{exc} (field {self.name or '<anonymous>'})") from exc
 
+    def __call__(self, t, x):
+        """The expression at (t, x): how another field's expression reads
+        this one.  At the variable jets of the memo's grid, this field's jet
+        from the memo instead (see the module docstring)."""
+        if t is _memo_vars[0] and x is _memo_vars[1]:
+            return self.jet(Point(t.c[0], x.c[0]))
+        return self.expr(t, x)
+
     def jet(self, p: Point) -> Jet3:
         """Exact jet at ``p`` by forward Taylor propagation.
 
@@ -594,38 +622,42 @@ class ScalarField:
         point or jet is not finite, through the jet memo of the last grid
         (see the module docstring); a single point raises instead.
         """
-        global _memo_grid
+        global _memo_grid, _memo_vars
         if not (isinstance(p.t, np.ndarray) or isinstance(p.x, np.ndarray)):
-            return self._jet(p)
+            return self._jet(Jet3.variable_t(p.t), Jet3.variable_x(p.x))
         t, x = (np.atleast_1d(np.asarray(c, dtype=float)) for c in p)
         grid = (t.shape, t.tobytes(), x.shape, x.tobytes())
         if grid != _memo_grid:
             _memo.clear()
             _memo_grid = grid
+            t, x = t.copy(), x.copy()
+            t.flags.writeable = x.flags.writeable = False
+            _memo_vars = Jet3.variable_t(t), Jet3.variable_x(x)
         j = _memo.get(self)
         if j is None:
-            j = self._jet(Point(t.copy(), x.copy()))
+            j = self._jet(*_memo_vars)
             for ci in j.c:
                 if isinstance(ci, np.ndarray):
                     ci.flags.writeable = False
             _memo[self] = j
         return Jet3(list(j.c))
 
-    def _jet(self, p: Point) -> Jet3:
-        t, x = p
+    def _jet(self, T: Jet3, X: Jet3) -> Jet3:
+        """The expression's jet at the variable jets T and X, checked as ``jet`` says."""
+        t, x = T.c[0], X.c[0]
         array = isinstance(t, np.ndarray) or isinstance(x, np.ndarray)
         if not (array or math.isfinite(t) and math.isfinite(x)):
-            raise ValueError(f"non-finite evaluation point {p!r}")
+            raise ValueError(f"non-finite evaluation point {Point(t, x)!r}")
         # only arrays reach numpy; its warnings at bad elements become the NaN mask below
         with np.errstate(all="ignore") if array else nullcontext():
-            r = self._call(Jet3.variable_t(t), Jet3.variable_x(x))
+            r = self._call(T, X)
         j = r if isinstance(r, Jet3) else Jet3.constant(r)
         isfinite = np.isfinite if array else math.isfinite  # faster on floats
         ok = isfinite(t) & isfinite(x)
         for ci in j.c:
             ok &= isfinite(ci)
         return fail_where(np.logical_not(ok), j, "non-finite derivative of field {} at {!r}",
-                          self.name or "<anonymous>", p)
+                          self.name or "<anonymous>", Point(t, x))
 
     def value(self, t: float, x: float) -> float:
         r = float(self._call(float(t), float(x)))
@@ -645,10 +677,10 @@ class ScalarField:
 
     def _binary(self, other, op, tag):
         if isinstance(other, ScalarField):
-            return ScalarField(lambda t, x: op(self.expr(t, x), other.expr(t, x)),
+            return ScalarField(lambda t, x: op(self(t, x), other(t, x)),
                                name=f"({self.name}{tag}{other.name})")
         if isinstance(other, (int, float)):
-            return ScalarField(lambda t, x: op(self.expr(t, x), other),
+            return ScalarField(lambda t, x: op(self(t, x), other),
                                name=f"({self.name}{tag}{other})")
         return NotImplemented
 
@@ -675,12 +707,14 @@ class ScalarField:
         return self._binary(other, lambda a, b: b / a, "/r")
 
     def __neg__(self):
-        return ScalarField(lambda t, x: -self.expr(t, x), name=f"(-{self.name})")
+        return ScalarField(lambda t, x: -self(t, x), name=f"(-{self.name})")
 
 
-# the jet memo (module docstring): field -> its jet on the grid keyed by _memo_grid
+# the jet memo (module docstring): field -> its jet on the grid keyed by
+# _memo_grid, whose variable jets T and X are _memo_vars
 _memo: dict[ScalarField, Jet3] = {}
 _memo_grid = None
+_memo_vars = (None, None)
 
 
 def constant_field(v: float) -> ScalarField:
